@@ -1,11 +1,12 @@
 """Exact equivariant index invariants for odd-prime cyclic actions on spin 4-manifolds.
 
-The package computes, in exact arithmetic throughout: spin numbers of all
-powers of a cyclic action from its fixed-point data, eigenspace-defect
-vectors by Fourier inversion, orbit-space signature and Euler
-characteristic for order 3, Adams-operation constraints in truncated
-representation rings, and a verdict pipeline that mechanizes the rigidity
-obstruction for homologically trivial actions on homotopy K3 surfaces.
+The package computes, in exact arithmetic throughout: eigenspace-defect
+vectors of a cyclic action as sums of per-component rational tables of its
+fixed-point data, the spin numbers of all powers synthesized from them,
+orbit-space signature and Euler characteristic for order 3, Adams-operation
+constraints in truncated representation rings, and a verdict pipeline that
+mechanizes the rigidity obstruction for homologically trivial actions on
+homotopy K3 surfaces.
 """
 
 from .cyclo import (

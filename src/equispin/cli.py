@@ -61,7 +61,7 @@ def _spin_payload(dataset: FixedPointDataset, power: int, bits: int) -> dict:
     spins = spin_number_tuple(dataset)
     if not 0 <= power <= dataset.p - 1:
         raise ValueError(f"power must lie in 0..{dataset.p - 1}")
-    value = spins.values[power]
+    value = spins.value(power)
     cls = rigidity.classify_spin(value, bits) if value.is_real() else None
     return {
         "power": power,
@@ -136,7 +136,7 @@ def _selftest_items() -> list[tuple[str, bool, str]]:
     fermat = fermat_quartic()
 
     def fermat_spin():
-        v = spin_number_tuple(fermat).values[1]
+        v = spin_number_tuple(fermat).value(1)
         return v == 2, f"spin number {v.reduced().to_rational()}"
 
     def fermat_quotient():

@@ -162,6 +162,15 @@ def _require_bool(obj, name: str, errors: list[str]) -> bool:
     return obj
 
 
+def _require_list(document: dict, key: str, errors: list[str]) -> list:
+    # an absent key is an empty list; null, a number or a string is an error
+    value = document.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        errors.append(f"{key} must be a list")
+        return []
+    return value
+
+
 def parse_dataset(document) -> FixedPointDataset:
     """Parse and validate a dataset from JSON text, bytes, or a dict.
 
@@ -211,7 +220,7 @@ def parse_dataset(document) -> FixedPointDataset:
     )
 
     points = []
-    for idx, item in enumerate(document.get("isolated", [])):
+    for idx, item in enumerate(_require_list(document, "isolated", errors)):
         if not isinstance(item, dict):
             errors.append(f"isolated[{idx}] must be an object")
             continue
@@ -232,7 +241,7 @@ def parse_dataset(document) -> FixedPointDataset:
         )
 
     surfaces = []
-    for idx, item in enumerate(document.get("surfaces", [])):
+    for idx, item in enumerate(_require_list(document, "surfaces", errors)):
         if not isinstance(item, dict):
             errors.append(f"surfaces[{idx}] must be an object")
             continue

@@ -1,7 +1,6 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything in this package works on small dense systems (a few dozen rows
-at most), so the routines here are plain Python arithmetic on lists: no
+The routines here are plain Python arithmetic on dense lists: no
 pivot-size heuristics, no floating point, no external solvers.
 """
 

@@ -1,11 +1,29 @@
 """Exact fixed-point formulas for the twisted Dirac index and quotients.
 
-The central object is the spin number of each power of the action,
-evaluated exactly in the cyclotomic field of conductor ``2p`` from the
-half-weight encoding of the fixed set.  Discrete Fourier inversion of the
-spin numbers produces the integer eigenspace-defect vector, and the
-order-3 quotient formulas give the signature and Euler characteristic of
-the orbit space as exact rationals.
+The spin number of the j-th power of the action is the Lefschetz
+fixed-point sum (Atiyah-Bott) over the fixed set of the half-weight
+encoding below.  All p - 1 of them are Galois conjugates of the first, so
+the eigenspace defects ``k_i = (1/p) sum_j nu^(-i j) Spin(j)`` (``nu =
+zeta_p``, slot 0 the full index ``-sigma/8``) are
+
+    ``k_i = -sigma/(8p) + (1/p) Tr(nu^(-i) Spin(1))``,
+
+a sum of small rational tables, one per fixed component: ``T(p, a, b)`` for
+an isolated point and ``S(p, c)`` per unit of self-intersection of a fixed
+surface, in the cotangent-sum style of Hirzebruch-Zagier.  The tables are
+built once per residue from ``1/(1 - nu^a) = -(1/p) sum_r r nu^(a r)``
+with integer convolutions only; no field inversion or linear solve is
+involved.
+
+Everything else is derived from the defect vector.  A
+:class:`SpinNumberTuple` holds it, and ``Spin(j) = sum_i k_i nu^(i j)`` is
+written straight into power-basis coordinates at conductor p when a value
+is asked for.  Integrality of the defects is checked by :func:`k_vector`.
+The literal per-power evaluation in ``Q(zeta_2p)`` (:func:`spin_number`)
+and the trigonometric formula (:func:`spin_number_from_angles`) stay as
+independent oracles, off the verdict path.  The order-3 quotient formulas
+give the signature and Euler characteristic of the orbit space as exact
+rationals.
 
 Power twists are evaluated through parity-canonical half weights: each pair
 ``(a, b)`` (and each surface residue ``c``) is shifted into the even-sum
@@ -27,37 +45,130 @@ from .dataset import FixedPointDataset, ManifoldInvariants, normalize_half_weigh
 
 
 class NonIntegralDefectError(ValueError):
-    """Fourier inversion produced a non-integer defect: inconsistent dataset."""
+    """An eigenspace defect is not an integer: inconsistent dataset."""
+
+
+def _even_class(p: int, x: int, parity: int) -> tuple[int, int]:
+    """Shift ``x`` by p into the even-sum class mod 2p; returns ``(residue, sign)``."""
+    return (x + p * parity) % (2 * p), -1 if parity else 1
 
 
 @functools.lru_cache(maxsize=None)
 def _point_term(p: int, j: int, a: int, b: int) -> CyclotomicNumber:
-    """Contribution of one isolated point to the j-th spin number."""
+    """Contribution of one isolated point to the j-th spin number (oracle)."""
     n = 2 * p
-    delta = (a + b) % 2
-    aa = (a + p * delta) % n
+    aa, sign = _even_class(p, a, (a + b) % 2)
     bb = b % n
     z = CyclotomicNumber.zeta
     prod = (z(n, j * aa % n) - z(n, -j * aa % n)) * (z(n, j * bb % n) - z(n, -j * bb % n))
-    sign = -1 if delta else 1
     return -sign * prod.inverse()
 
 
 @functools.lru_cache(maxsize=None)
 def _surface_factor(p: int, j: int, c: int) -> CyclotomicNumber:
-    """Per-unit-self-intersection contribution of a fixed surface."""
+    """Per-unit-self-intersection contribution of a fixed surface (oracle)."""
     n = 2 * p
-    delta = c % 2
-    cc = (c + p * delta) % n
+    cc, sign = _even_class(p, c, c % 2)
     z = CyclotomicNumber.zeta
     num = z(n, j * cc % n) + z(n, -j * cc % n)
     den = (z(n, j * cc % n) - z(n, -j * cc % n)) ** 2
-    sign = -1 if delta else 1
     return sign * Fraction(-1, 2) * num * den.inverse()
 
 
+# -- defect tables ---------------------------------------------------------------
+#
+# A component's first-power term V is kept as an integer vector x over the
+# exponents of nu, V = (weight / (2 p^2)) sum_m x_m nu^m.  With z = zeta_2p
+# and nu = z^2, z^x - z^(-x) = -z^(-x) (1 - nu^x), and each 1/(1 - nu^a) is
+# -(1/p) times the vector r -> r at exponent a r.  The table entry is
+# (1/p) Tr(nu^(-i) V), and Tr(nu^e) is p - 1 at e = 0 and -1 elsewhere.
+# Tables hold integer numerators over the shared denominator 2 p^3, so that
+# summing them over a fixed set is integer addition, not Fraction arithmetic.
+
+
+def _over_one_minus(p: int, a: int) -> list[int]:
+    """``-p / (1 - nu^a)`` as an exponent vector: coefficient r at exponent ``a r``."""
+    out = [0] * p
+    for r in range(p):
+        out[a * r % p] = r
+    return out
+
+
+def _times(u: list[int], v: list[int]) -> list[int]:
+    """Product of two exponent vectors in ``Z[nu]`` (a cyclic convolution)."""
+    p = len(u)
+    out = [0] * p
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                out[(i + j) % p] += x * y
+    return out
+
+
+def _table(x: list[int], shift: int, weight: int) -> tuple[int, ...]:
+    """Numerators over ``2 p^3`` of ``(1/p) Tr(nu^(-i) V)``.
+
+    ``V = weight nu^shift x / (2 p^2)`` is the component's first-power term.
+    """
+    p = len(x)
+    total = sum(x)
+    return tuple(weight * (p * x[(i - shift) % p] - total) for i in range(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _point_table(p: int, a: int, b: int) -> tuple[int, ...]:
+    """Defect table ``T(p, a, b)`` of one isolated point, as numerators over ``2 p^3``.
+
+    The first-power term is ``-sign nu^((a' + b')/2) / ((1 - nu^a') (1 - nu^b'))``
+    for the even-class residues ``a', b'``.
+    """
+    aa, sign = _even_class(p, a, (a + b) % 2)
+    bb = b % (2 * p)
+    x = _times(_over_one_minus(p, aa % p), _over_one_minus(p, bb % p))
+    return _table(x, (aa + bb) // 2, -2 * sign)
+
+
+@functools.lru_cache(maxsize=None)
+def _surface_table(p: int, c: int) -> tuple[int, ...]:
+    """Defect table ``S(p, c)`` per unit of self-intersection, as numerators over ``2 p^3``.
+
+    The first-power factor is ``-(sign/2) nu^(c'/2) (1 + nu^c') / (1 - nu^c')^2``
+    for the even-class residue ``c'``.
+    """
+    cc, sign = _even_class(p, c, c % 2)
+    w = _over_one_minus(p, cc % p)
+    sq = _times(w, w)
+    x = [sq[m] + sq[(m - cc) % p] for m in range(p)]
+    return _table(x, cc // 2, -sign)
+
+
+def defect_vector(dataset: FixedPointDataset) -> tuple[Fraction, ...]:
+    """Rational eigenspace defects ``(k_0, ..., k_{p-1})``, summed from the tables.
+
+    They are integers for a consistent dataset; :func:`k_vector` checks that.
+    """
+    p = dataset.p
+    n = 2 * p
+    index = spin_index(dataset.manifold)
+    points, surfaces = normalize_half_weights(dataset)
+    acc = [0] * p
+    for pt in points:
+        acc = [s + t for s, t in zip(acc, _point_table(p, pt.a % n, pt.b % n))]
+    for sf in surfaces:
+        e = sf.self_intersection
+        if e:
+            acc = [s + e * t for s, t in zip(acc, _surface_table(p, sf.c % n))]
+    denominator = 2 * p**3
+    base = 2 * p * p * index.numerator  # -sigma/(8p) over 2 p^3; the index is an integer
+    return tuple(Fraction(base + s, denominator) for s in acc)
+
+
 def spin_number(dataset: FixedPointDataset, j: int) -> CyclotomicNumber:
-    """Spin number of the j-th power of the action, reduced to minimal conductor."""
+    """Spin number of the j-th power, summed term by term in ``Q(zeta_2p)``.
+
+    The per-power oracle for the defect tables; :func:`spin_number_tuple`
+    gives the same values from the defect vector.
+    """
     p = dataset.p
     if not 1 <= j <= p - 1:
         raise ValueError("power must lie in 1..p-1")
@@ -102,26 +213,44 @@ def spin_index(manifold: ManifoldInvariants) -> Fraction:
 
 @dataclass(frozen=True)
 class SpinNumberTuple:
-    """Spin numbers of all powers; slot 0 holds the full index ``-sigma/8``."""
+    """Spin numbers of all powers, held as their rational defect vector.
+
+    ``Spin(j) = sum_i defects[i] nu^(i j)``, so slot 0 is the full index
+    ``-sigma/8``.  Values are built on demand.
+    """
 
     p: int
-    values: tuple[CyclotomicNumber, ...]
+    defects: tuple[Fraction, ...]
+
+    def value(self, j: int) -> CyclotomicNumber:
+        """``Spin(j)`` at its minimal conductor (1 or p), built without multiplication."""
+        p = self.p
+        y = [0] * p  # coefficients of nu^0 .. nu^(p-1)
+        for i, k in enumerate(self.defects):
+            y[i * j % p] += k
+        # nu^(p-1) = -(1 + nu + ... + nu^(p-2)); the value is rational iff the tail is flat
+        top = y[-1]
+        if all(v == top for v in y[1:]):
+            return CyclotomicNumber.from_rational(y[0] - top)
+        return CyclotomicNumber(p, [v - top for v in y[:-1]])
+
+    @functools.cached_property
+    def values(self) -> tuple[CyclotomicNumber, ...]:
+        return tuple(self.value(j) for j in range(self.p))
 
     def check(self) -> None:
-        """Realness of every entry and symmetry under ``j -> p - j``."""
-        for j, v in enumerate(self.values):
-            if not v.is_real():
-                raise ValueError(f"spin number at power {j} is not real")
-        for j in range(1, self.p):
-            if self.values[j] != self.values[self.p - j]:
-                raise ValueError(f"spin numbers at powers {j} and {self.p - j} differ")
+        """Realness of every entry, hence symmetry under ``j -> p - j``: ``k_i = k_(p-i)``."""
+        d = self.defects
+        for i in range(1, self.p):
+            if d[i] != d[self.p - i]:
+                raise ValueError(
+                    f"spin numbers are not real: defects {i} and {self.p - i} differ"
+                )
 
 
 def spin_number_tuple(dataset: FixedPointDataset) -> SpinNumberTuple:
-    """All spin numbers of a dataset, with the realness/symmetry checks run."""
-    index = CyclotomicNumber.from_rational(spin_index(dataset.manifold))
-    values = (index,) + tuple(spin_number(dataset, j) for j in range(1, dataset.p))
-    out = SpinNumberTuple(dataset.p, values)
+    """All spin numbers of a dataset from its defect tables, with the realness check run."""
+    out = SpinNumberTuple(dataset.p, defect_vector(dataset))
     out.check()
     return out
 
@@ -148,17 +277,29 @@ class KVector:
 
 
 def k_vector(spins: SpinNumberTuple | list | tuple) -> KVector:
-    """Invert the eigenvalue expansion of the spin numbers exactly.
+    """The integer eigenspace defects of a spin-number tuple.
 
     ``k_i = (1/p) * sum_j nu^(-i j) * Spin(j)`` with slot 0 carrying the
-    full index.  Raises :class:`NonIntegralDefectError` when a coordinate is
-    not a (rational) integer: the candidate dataset is then inconsistent.
+    full index.  A :class:`SpinNumberTuple` already holds them; a plain
+    sequence of values is inverted exactly.  Raises
+    :class:`NonIntegralDefectError` at the first coordinate that is not a
+    (rational) integer: the candidate dataset is then inconsistent.
     """
     if isinstance(spins, SpinNumberTuple):
-        p, values = spins.p, spins.values
+        p, defects = spins.p, spins.defects
     else:
-        values = tuple(spins)
-        p = len(values)
+        p, defects = len(spins), _fourier_inverse(tuple(spins))
+    for i, value in enumerate(defects):
+        if value is None:
+            raise NonIntegralDefectError(f"defect {i} is not rational")
+        if value.denominator != 1:
+            raise NonIntegralDefectError(f"defect {i} is not an integer: {value}")
+    return KVector(p, tuple(int(v) for v in defects))
+
+
+def _fourier_inverse(values: tuple) -> list[Fraction | None]:
+    """``(1/p) sum_j nu^(-i j) values[j]`` for each i; None where it is irrational."""
+    p = len(values)
     embedded = []
     for v in values:
         if isinstance(v, CyclotomicNumber):
@@ -177,31 +318,16 @@ def k_vector(spins: SpinNumberTuple | list | tuple) -> KVector:
         for j, v in enumerate(embedded):
             acc = acc + nu ** ((-i * j) % p) * v
         acc = acc * Fraction(1, p)
-        if not acc.is_rational():
-            raise NonIntegralDefectError(f"defect {i} is not rational")
-        value = acc.to_rational()
-        if value.denominator != 1:
-            raise NonIntegralDefectError(f"defect {i} is not an integer: {value}")
-        out.append(int(value))
-    return KVector(p, tuple(out))
+        out.append(acc.to_rational() if acc.is_rational() else None)
+    return out
 
 
 def synthesize_spins(kv: KVector) -> SpinNumberTuple:
-    """Forward evaluation ``Spin(j) = sum_i k_i nu^(i j)`` from a defect vector.
+    """The spin-number tuple ``Spin(j) = sum_i k_i nu^(i j)`` of a defect vector.
 
-    No realness check is run: synthesized tuples from arbitrary integer
-    vectors are allowed as inputs to :func:`k_vector` round trips.
+    No realness check is run: any integer vector has a tuple.
     """
-    p = kv.p
-    nu = CyclotomicNumber.zeta(p)
-    values = []
-    for j in range(p):
-        acc = CyclotomicNumber.from_rational(0, p)
-        for i, k in enumerate(kv.k):
-            if k:
-                acc = acc + k * nu ** ((i * j) % p)
-        values.append(acc.reduced())
-    return SpinNumberTuple(p, tuple(values))
+    return SpinNumberTuple(kv.p, tuple(Fraction(k) for k in kv.k))
 
 
 # -- order-3 quotient formulas ---------------------------------------------

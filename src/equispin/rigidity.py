@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .cyclo import CyclotomicNumber, IntPolynomial
 from .dataset import FixedPointDataset, ManifoldInvariants, count_p3_types
 from .lefschetz import (
@@ -57,6 +55,8 @@ def numeric_estimate(value: CyclotomicNumber, bits: int = 80) -> str:
     This is the only place the package leaves exact arithmetic; the result
     is for reports only and never feeds back into a decision.
     """
+    import mpmath
+
     with mpmath.workprec(bits):
         acc = mpmath.mpf(0)
         n = value.conductor
@@ -80,6 +80,11 @@ class SpinClass:
     estimate: str | None = None
 
 
+def _rational_class(value: Fraction) -> SpinClass:
+    sign = SIGN_ZERO if value == 0 else (SIGN_POSITIVE if value > 0 else SIGN_NEGATIVE)
+    return SpinClass(rational=True, value=value, sign=sign)
+
+
 def classify_spin(value: CyclotomicNumber, precision_bits: int = 80) -> SpinClass:
     """Classify a (real) spin number by exact rationality and sign.
 
@@ -90,14 +95,30 @@ def classify_spin(value: CyclotomicNumber, precision_bits: int = 80) -> SpinClas
         raise ValueError("spin numbers are real; got a non-real value")
     reduced = value.reduced()
     if reduced.is_rational():
-        v = reduced.to_rational()
-        sign = SIGN_ZERO if v == 0 else (SIGN_POSITIVE if v > 0 else SIGN_NEGATIVE)
-        return SpinClass(rational=True, value=v, sign=sign)
+        return _rational_class(reduced.to_rational())
     return SpinClass(
         rational=False,
         value=None,
         sign=SIGN_UNKNOWN,
         estimate=numeric_estimate(reduced, precision_bits),
+    )
+
+
+def classify_first_spin(spins: SpinNumberTuple, precision_bits: int = 80) -> SpinClass:
+    """:func:`classify_spin` of ``Spin(1)``, read off the defect vector.
+
+    ``Spin(1) = sum_i k_i nu^i`` is rational exactly when ``k_1 = ... =
+    k_(p-1)``, and its value is then ``k_0 - k_1``; only an irrational
+    value is built, for its advisory estimate.
+    """
+    k = spins.defects
+    if all(v == k[1] for v in k[2:]):
+        return _rational_class(k[0] - k[1])
+    return SpinClass(
+        rational=False,
+        value=None,
+        sign=SIGN_UNKNOWN,
+        estimate=numeric_estimate(spins.value(1), precision_bits),
     )
 
 
@@ -182,21 +203,25 @@ def check_k_constraints(kv: KVector, spin: SpinClass, quotient_b_plus: int) -> l
     return out
 
 
-def lift_sweep(dataset: FixedPointDataset) -> list[tuple[int, KVector, SpinClass]]:
+def lift_sweep(source: FixedPointDataset | KVector) -> list[tuple[int, KVector, SpinClass]]:
     """Defect vectors and implied spin classes of all p alternative lifts.
 
     Multiplying the lift by a primitive p-th root of unity cyclically
     shifts the defects; each entry carries the shift, the shifted vector,
-    and the classification of its implied first-twist value (generally not
-    real for a nonzero shift, hence unclassifiable beyond irrationality).
+    and the classification of its implied first-twist value
+    ``sum_i k_(q+i) nu^i``.  That value is real exactly when
+    ``k_(q+i) = k_(q-i)`` for all i; a non-real one (the general case for a
+    nonzero shift) is unclassifiable beyond irrationality.  A dataset is
+    first reduced to its defect vector.
     """
-    kv = k_vector(spin_number_tuple(dataset))
+    kv = source if isinstance(source, KVector) else k_vector(spin_number_tuple(source))
+    p = kv.p
     out = []
-    for q in range(dataset.p):
+    for q in range(p):
         shifted = kv.shifted(q)
-        value = synthesize_spins(shifted).values[1]
-        if value.is_real():
-            cls = classify_spin(value)
+        k = shifted.k
+        if all(k[i] == k[p - i] for i in range(1, p)):
+            cls = classify_first_spin(synthesize_spins(shifted))
         else:
             cls = SpinClass(rational=False, value=None, sign=SIGN_UNKNOWN)
         out.append((q, shifted, cls))
@@ -357,13 +382,13 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
     notes: list[Reason] = []
 
     spins = spin_number_tuple(dataset)
-    spin = classify_spin(spins.values[1], precision_bits)
+    spin = classify_first_spin(spins, precision_bits)
 
     kv = None
     sweep = None
     try:
         kv = k_vector(spins)
-        sweep = tuple(lift_sweep(dataset))
+        sweep = tuple(lift_sweep(kv))
     except NonIntegralDefectError as exc:
         violations.append(
             Reason(

@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, formats, determinism, batch mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,18 @@ class TestSchemaErrors:
         code, _, err = run(capsys, "verdict", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["isolated", "surfaces"])
+    @pytest.mark.parametrize("value", [5, None, "ab", {"l_alpha": 1}])
+    def test_list_field_of_wrong_type_exits_two(self, capsys, tmp_path, key, value):
+        doc = json.loads(FERMAT_JSON)
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verdict", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {key} must be a list\n"
+
 
 class TestBatchMode:
     def test_deterministic_order(self, capsys, tmp_path):
@@ -202,3 +218,17 @@ class TestSelftest:
 
         tampered = ManifoldInvariants(b1=0, b_plus=3, signature=-8, euler=16, is_spin=True)
         assert spin_index(tampered) == 1 != 2
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is needed only for the advisory estimates of irrational spin numbers
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, equispin.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

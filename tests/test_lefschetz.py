@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+
+from equispin import lefschetz
+from equispin.cyclo import CyclotomicNumber
 
 from equispin.dataset import (
     FixedPointDataset,
@@ -191,3 +195,94 @@ class TestOrderThreeIndexIdentity:
             spin = spins.values[1].reduced().to_rational()
             assert 3 * kv.k[0] == 2 + 2 * spin
         assert hits > 0
+
+
+def _trace_vector(p: int) -> list[Fraction]:
+    """``Tr(zeta_2p^e)`` for e = 0..2p-1, as the sum of the Galois conjugates."""
+    n = 2 * p
+    units = [j for j in range(1, n) if gcd(j, n) == 1]
+    zero = CyclotomicNumber.from_rational(0, n)
+    return [
+        sum((CyclotomicNumber.zeta(n, j * e) for j in units), zero).to_rational()
+        for e in range(n)
+    ]
+
+
+class TestDefectTables:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_tables_match_trace_of_per_power_term(self, p):
+        # T_i = (1/p) Tr(nu^(-i) point_term) and S_i likewise, for every residue
+        n = 2 * p
+        trace = _trace_vector(p)
+        denominator = 2 * p**3
+
+        def oracle(term):
+            # nu^(-i) = zeta_2p^(-2i); the term is in conductor-2p coordinates
+            return tuple(
+                sum(c * trace[(m - 2 * i) % n] for m, c in enumerate(term.coeffs)) / p
+                for i in range(p)
+            )
+
+        residues = [r for r in range(n) if r % p]
+        for a in residues:
+            for b in residues:
+                table = lefschetz._point_table(p, a, b)
+                got = tuple(Fraction(v, denominator) for v in table)
+                assert got == oracle(lefschetz._point_term(p, 1, a, b)), (a, b)
+        for c in residues:
+            table = lefschetz._surface_table(p, c)
+            got = tuple(Fraction(v, denominator) for v in table)
+            assert got == oracle(lefschetz._surface_factor(p, 1, c)), c
+
+    def test_tuple_matches_per_power_oracle(self):
+        rng = random.Random(83)
+        for p, count in ((3, 12), (5, 12), (7, 8), (11, 3)):
+            for _ in range(count):
+                d = random_dataset(rng, p=p)
+                spins = spin_number_tuple(d)
+                assert spins.values[0] == spin_index(d.manifold)
+                for j in range(1, p):
+                    assert spins.values[j] == spin_number(d, j)
+                    assert spins.value(j).conductor == spin_number(d, j).conductor
+
+    def test_k_vector_matches_fourier_inversion_of_oracle(self):
+        rng = random.Random(89)
+        for p in (3, 5, 7):
+            for _ in range(15):
+                d = random_dataset(rng, p=p)
+                oracle = [spin_index(d.manifold)] + [spin_number(d, j) for j in range(1, p)]
+                try:
+                    want = k_vector(oracle)
+                except NonIntegralDefectError as exc:
+                    with pytest.raises(NonIntegralDefectError) as got:
+                        k_vector(spin_number_tuple(d))
+                    assert str(got.value) == str(exc)
+                else:
+                    assert k_vector(spin_number_tuple(d)) == want
+
+    def test_values_match_multiplied_sum(self):
+        rng = random.Random(97)
+        for p in (3, 5, 7):
+            nu = CyclotomicNumber.zeta(p)
+            for _ in range(10):
+                kv = KVector(p, tuple(rng.randint(-6, 6) for _ in range(p)))
+                spins = synthesize_spins(kv)
+                for j in range(p):
+                    acc = CyclotomicNumber.from_rational(0, p)
+                    for i, k in enumerate(kv.k):
+                        acc = acc + k * nu ** (i * j % p)
+                    assert spins.value(j) == acc
+                    assert spins.value(j).conductor == acc.reduced().conductor
+
+    def test_round_trip_through_values(self):
+        # inverts the built values, not the defects the tuple carries
+        rng = random.Random(101)
+        for p in (3, 5, 7):
+            for _ in range(20):
+                kv = KVector(p, tuple(rng.randint(-6, 6) for _ in range(p)))
+                assert k_vector(list(synthesize_spins(kv).values)) == kv
+
+    def test_realness_check(self):
+        spins = synthesize_spins(KVector(5, (2, 1, 0, 0, 0)))
+        with pytest.raises(ValueError, match="not real"):
+            spins.check()

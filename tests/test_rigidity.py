@@ -13,7 +13,8 @@ from equispin.dataset import (
     ManifoldInvariants,
     fermat_quartic,
 )
-from equispin.lefschetz import KVector, k_vector, spin_number_tuple
+from equispin import lefschetz
+from equispin.lefschetz import KVector, k_vector, spin_number, spin_number_tuple
 from equispin.repring import InstanceParameters
 from equispin.rigidity import (
     CONSTRAINT_VIOLATION,
@@ -22,7 +23,9 @@ from equispin.rigidity import (
     SIGN_NEGATIVE,
     SIGN_POSITIVE,
     SIGN_UNKNOWN,
+    SpinClass,
     check_k_constraints,
+    classify_first_spin,
     classify_spin,
     derive_instance,
     enumerate_pseudofree_p3,
@@ -255,3 +258,58 @@ class TestVerdict:
                 assert any(n.anchor == "rationality-hypothesis" for n in v.notes)
                 assert v.outcome != CONTRADICTION
         assert seen > 0
+
+
+# three Galois orbits of isolated points at p = 7, each of spin number -4 (total -12)
+P7_ORBIT_POINTS = (
+    (5, 2, 1), (5, 2, 1), (4, 3, 1), (4, 3, 1), (3, 4, 1), (5, 2, 1),
+    (6, 1, 1), (1, 6, 1), (1, 6, 1), (6, 1, 1), (2, 5, 1), (6, 1, 1),
+    (1, 6, 1), (3, 4, 1), (2, 5, 1), (3, 4, 1), (4, 3, 1), (2, 5, 1),
+)
+
+
+class TestDefectFirstClassification:
+    def test_first_spin_class_matches_value_class(self):
+        rng = random.Random(103)
+        for p in (3, 5, 7):
+            for _ in range(15):
+                d = random_dataset(rng, p=p)
+                want = classify_spin(spin_number(d, 1), 64)
+                assert classify_first_spin(spin_number_tuple(d), 64) == want
+
+    def test_sweep_matches_multiplied_rotations(self):
+        rng = random.Random(107)
+        for p in (3, 5, 7):
+            nu = CyclotomicNumber.zeta(p)
+            for shape in ("random", "symmetric", "flat-tail") * 6:
+                k = [rng.randint(-4, 4) for _ in range(p)]
+                if shape == "symmetric":
+                    k = [k[min(i, p - i)] for i in range(p)]
+                elif shape == "flat-tail":
+                    k = [k[0]] + [k[1]] * (p - 1)
+                for q, shifted, cls in lift_sweep(KVector(p, tuple(k))):
+                    value = CyclotomicNumber.from_rational(0, p)
+                    for i, ki in enumerate(shifted.k):
+                        value = value + ki * nu**i
+                    if value.is_real():
+                        assert cls == classify_spin(value), (k, q)
+                    else:
+                        assert cls == SpinClass(rational=False, value=None, sign=SIGN_UNKNOWN)
+
+    def test_verdict_needs_no_field_multiplication(self, monkeypatch):
+        orbit = FixedPointDataset(
+            7, K3, 3, False, isolated=tuple(IsolatedPoint(*pt) for pt in P7_ORBIT_POINTS)
+        )
+        datasets = (orbit, random_dataset(random.Random(109), p=11))
+        want = [verdict_report(verdict(d)) for d in datasets]
+        assert want[0]["k_vector"] is not None and want[0]["spin"]["value"] == "-12"
+        assert want[1]["spin"]["estimate"] is not None
+
+        def refuse(*args):
+            raise AssertionError("field multiplication or inversion on the verdict path")
+
+        lefschetz._point_table.cache_clear()
+        lefschetz._surface_table.cache_clear()
+        for name in ("inverse", "__mul__", "__rmul__"):
+            monkeypatch.setattr(CyclotomicNumber, name, refuse)
+        assert [verdict_report(verdict(d)) for d in datasets] == want
