@@ -62,6 +62,7 @@ from .rigidity import (
     classify_spin,
     enumerate_pseudofree_p3,
     lift_sweep,
+    orbit_space_p3,
     verdict,
     verify_sw_vanishing,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "classify_spin",
     "enumerate_pseudofree_p3",
     "lift_sweep",
+    "orbit_space_p3",
     "verdict",
     "verify_sw_vanishing",
 ]

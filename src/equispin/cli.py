@@ -1,15 +1,24 @@
 """Command-line surface.
 
 Subcommands: ``spin``, ``quotient``, ``kvector``, ``verdict``, ``enumerate``,
-``prop41``, ``selftest``.  Exit codes: 0 for a completed evaluation
-(a Contradiction outcome is a successful computation, not an error),
-2 for invalid input, 3 for I/O failures.  Reports are byte-deterministic
-for identical inputs and flags.
+``prop41``, ``selftest``.  Each is one row of ``COMMANDS``: a payload
+builder, which turns the parsed arguments into a JSON-compatible dict, and a
+text renderer for that dict.  ``main`` looks the command up and prints the
+payload through ``_emit``, as JSON or as text.  The four dataset commands
+build their payload per dataset file; with ``--batch DIR`` they build one per
+``*.json`` file in DIR, a per-file ``error`` entry standing in for a file
+that fails.
+
+Exit codes: 0 for a completed evaluation (a Contradiction outcome is a
+successful computation, not an error), 2 for invalid input (any
+``ValueError``), 3 for I/O failures (any ``OSError``).  Reports are
+byte-deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -17,13 +26,7 @@ from pathlib import Path
 
 from . import rigidity
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, half_angle_csc
-from .dataset import (
-    DatasetError,
-    FixedPointDataset,
-    ManifoldInvariants,
-    fermat_quartic,
-    parse_dataset,
-)
+from .dataset import FixedPointDataset, ManifoldInvariants, fermat_quartic, parse_dataset
 from .lefschetz import (
     NonIntegralDefectError,
     euler_quotient_p3,
@@ -32,7 +35,10 @@ from .lefschetz import (
     spin_index,
     spin_number_tuple,
 )
-from .repring import InstanceParameters, RepRingElement, solve_adams_kernel
+from .repring import InstanceParameters, RepRingElement
+
+# ``numeric_estimate`` prints at least 6 significant digits: log2(10^6) > 19.9 bits
+MIN_PRECISION_BITS = 20
 
 
 def _emit(payload, fmt: str, render_text) -> None:
@@ -42,48 +48,47 @@ def _emit(payload, fmt: str, render_text) -> None:
         render_text(payload)
 
 
-def _load_dataset(path: str) -> FixedPointDataset:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_dataset(text)
+def _load_dataset(path) -> FixedPointDataset:
+    return parse_dataset(Path(path).read_text(encoding="utf-8"))
 
 
-def _spin_value_obj(value: CyclotomicNumber) -> dict:
-    reduced = value.reduced()
-    if reduced.is_rational():
-        return {"rational": str(reduced.to_rational())}
-    return rigidity.cyclotomic_dict(reduced)
+# -- dataset commands: payload builders and text renderers ------------------------
 
 
-# -- subcommand payload builders ------------------------------------------------
-
-
-def _spin_payload(dataset: FixedPointDataset, power: int, bits: int) -> dict:
+def _spin_payload(args, dataset: FixedPointDataset) -> dict:
     spins = spin_number_tuple(dataset)
-    if not 0 <= power <= dataset.p - 1:
+    if not 0 <= args.power <= dataset.p - 1:
         raise ValueError(f"power must lie in 0..{dataset.p - 1}")
-    value = spins.value(power)
-    cls = rigidity.classify_spin(value, bits) if value.is_real() else None
+    # real, since spin_number_tuple checked it, and at its minimal conductor
+    value = spins.value(args.power)
     return {
-        "power": power,
-        "spin": _spin_value_obj(value),
-        "classification": rigidity.spin_class_dict(cls) if cls else None,
+        "power": args.power,
+        "spin": (
+            {"rational": str(value.to_rational())}
+            if value.is_rational()
+            else rigidity.cyclotomic_dict(value)
+        ),
+        "classification": rigidity.spin_class_dict(rigidity.classify_spin(value, args.precision)),
     }
 
 
-def _quotient_payload(dataset: FixedPointDataset) -> dict:
-    sigma_q = signature_quotient_p3(dataset)
-    euler_q = euler_quotient_p3(dataset)
-    integral = sigma_q.denominator == 1 and euler_q.denominator == 1
-    return {
-        "sigma": str(sigma_q),
-        "euler": str(euler_q),
-        "b_plus": dataset.quotient_b_plus,
-        "b_minus": str(dataset.quotient_b_plus - sigma_q),
-        "integral": integral,
-    }
+def _render_spin(p: dict) -> None:
+    print(f"power {p['power']}: {json.dumps(p['spin'], sort_keys=True)}")
+    print(f"classification: {json.dumps(p['classification'], sort_keys=True)}")
 
 
-def _kvector_payload(dataset: FixedPointDataset) -> dict:
+def _quotient_payload(args, dataset: FixedPointDataset) -> dict:
+    return rigidity.quotient_dict(rigidity.orbit_space_p3(dataset))
+
+
+def _quotient_text(q: dict) -> str:
+    return (
+        f"signature {q['sigma']}, euler {q['euler']}, b+ {q['b_plus']}, "
+        f"b- {q['b_minus']}, integral {q['integral']}"
+    )
+
+
+def _kvector_payload(args, dataset: FixedPointDataset) -> dict:
     try:
         kv = k_vector(spin_number_tuple(dataset))
         return {"k_vector": list(kv.k), "error": None}
@@ -91,8 +96,15 @@ def _kvector_payload(dataset: FixedPointDataset) -> dict:
         return {"k_vector": None, "error": str(exc)}
 
 
-def _verdict_payload(dataset: FixedPointDataset, bits: int) -> dict:
-    return rigidity.verdict_report(rigidity.verdict(dataset, bits))
+def _render_kvector(p: dict) -> None:
+    if p["error"]:
+        print(f"inconsistent dataset: {p['error']}")
+    else:
+        print(f"defect vector: {tuple(p['k_vector'])}")
+
+
+def _verdict_payload(args, dataset: FixedPointDataset) -> dict:
+    return rigidity.verdict_report(rigidity.verdict(dataset, args.precision))
 
 
 def _render_verdict_text(payload: dict) -> None:
@@ -103,21 +115,83 @@ def _render_verdict_text(payload: dict) -> None:
     if payload["k_vector"] is not None:
         print(f"defect vector: {tuple(payload['k_vector'])}")
     if payload["quotient"]:
-        q = payload["quotient"]
-        print(
-            f"orbit space: signature {q['sigma']}, euler {q['euler']}, "
-            f"b+ {q['b_plus']}, b- {q['b_minus']}, integral {q['integral']}"
-        )
+        print(f"orbit space: {_quotient_text(payload['quotient'])}")
     if payload["prop41"]:
         p41 = payload["prop41"]
-        print(
-            f"vanishing check: kernel rank {p41['kernel_rank']}, "
-            f"sw {p41['sw_value']}"
-        )
+        print(f"vanishing check: kernel rank {p41['kernel_rank']}, sw {p41['sw_value']}")
     for r in payload["reasons"]:
         print(f"  reason [{r['anchor']}]: {r['detail']}")
     for r in payload["notes"]:
         print(f"  note [{r['anchor']}]: {r['detail']}")
+
+
+def _per_dataset(build_one):
+    """Payload builder running ``build_one`` on the input file or on every ``--batch`` file."""
+
+    def build(args) -> dict:
+        if args.precision < MIN_PRECISION_BITS:
+            raise ValueError(
+                f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}"
+            )
+        if not args.batch:
+            if not args.input:
+                raise ValueError("an input file (or --batch) is required")
+            return build_one(args, _load_dataset(args.input))
+        root = Path(args.batch)
+        if not root.is_dir():
+            raise FileNotFoundError(f"batch directory not found: {args.batch}")
+        results = []
+        for path in sorted(root.glob("*.json")):
+            try:
+                results.append({"file": path.name, "report": build_one(args, _load_dataset(path))})
+            except ValueError as exc:
+                results.append({"file": path.name, "error": str(exc)})
+        return {"results": results}
+
+    return build
+
+
+def _render_batch(render_one):
+    def render(payload: dict) -> None:
+        for entry in payload["results"]:
+            print(f"== {entry['file']}")
+            if "error" in entry:
+                print(f"  error: {entry['error']}")
+            else:
+                render_one(entry["report"])
+
+    return render
+
+
+# -- other commands -----------------------------------------------------------------
+
+
+def _enumerate_payload(args) -> dict:
+    if args.p != 3:
+        raise ValueError("enumeration is implemented for order 3 only")
+    pairs = rigidity.enumerate_pseudofree_p3(
+        args.quotient_b_plus, args.trivial, ManifoldInvariants.k3()
+    )
+    return {"pairs": [list(pair) for pair in pairs]}
+
+
+def _render_enumerate(p: dict) -> None:
+    print("(f1, f2) pairs: " + (", ".join(map(str, map(tuple, p["pairs"]))) or "none"))
+
+
+def _prop41_payload(args) -> dict:
+    if args.m and args.n:
+        m = tuple(int(x) for x in args.m.split(","))
+        n = tuple(int(x) for x in args.n.split(","))
+        params = InstanceParameters(p=args.p, m_vector=m, n_vector=n, l=args.l, d=args.d)
+    elif args.input:
+        dataset = _load_dataset(args.input)
+        kv = k_vector(spin_number_tuple(dataset))
+        l = (dataset.manifold.b_plus - 1) // 2
+        params = rigidity.derive_instance(kv, l=l, d=args.d)
+    else:
+        raise ValueError("give --m/--n vectors or a dataset file")
+    return rigidity.vanishing_dict(rigidity.verify_sw_vanishing(params, args.q))
 
 
 # -- selftest -------------------------------------------------------------------
@@ -220,7 +294,7 @@ def _selftest_items() -> list[tuple[str, bool, str]]:
     return items
 
 
-def _selftest_payload() -> dict:
+def _selftest_payload(args) -> dict:
     items = _selftest_items()
     return {
         "items": [
@@ -230,9 +304,17 @@ def _selftest_payload() -> dict:
     }
 
 
+def _render_selftest(payload: dict) -> None:
+    for item in payload["items"]:
+        status = "PASS" if item["passed"] else "FAIL"
+        print(f"{status} {item['name']} ({item['detail']})")
+    print("all passed" if payload["passed"] else "FAILURES present")
+
+
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache  # once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equispin",
@@ -249,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--batch", metavar="DIR", help="evaluate every *.json dataset in DIR")
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--precision", type=int, default=80, metavar="BITS",
-                        help="bits for advisory numeric estimates")
+                        help=f"bits for advisory numeric estimates (at least {MIN_PRECISION_BITS})")
         if power:
             sp.add_argument("--power", type=int, default=1, metavar="J",
                             help="twist index (0 gives the untwisted index)")
@@ -282,141 +364,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_batch(directory: str):
-    root = Path(directory)
-    if not root.is_dir():
-        raise FileNotFoundError(f"batch directory not found: {directory}")
-    return sorted(root.glob("*.json"))
-
-
-def _run_dataset_command(args, build_payload, render_text) -> int:
-    if args.batch:
-        results = []
-        for path in _iter_batch(args.batch):
-            try:
-                dataset = _load_dataset(str(path))
-                results.append({"file": path.name, "report": build_payload(dataset)})
-            except (DatasetError, ValueError) as exc:
-                results.append({"file": path.name, "error": str(exc)})
-        payload = {"results": results}
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            for entry in results:
-                print(f"== {entry['file']}")
-                if "error" in entry:
-                    print(f"  error: {entry['error']}")
-                else:
-                    render_text(entry["report"])
-        return 0
-    if not args.input:
-        print("error: an input file (or --batch) is required", file=sys.stderr)
-        return 2
-    dataset = _load_dataset(args.input)
-    _emit(build_payload(dataset), args.format, render_text)
-    return 0
+# command -> (payload builder, text renderer)
+COMMANDS = {
+    "spin": (_per_dataset(_spin_payload), _render_spin),
+    "quotient": (_per_dataset(_quotient_payload), lambda q: print(_quotient_text(q))),
+    "kvector": (_per_dataset(_kvector_payload), _render_kvector),
+    "verdict": (_per_dataset(_verdict_payload), _render_verdict_text),
+    "enumerate": (_enumerate_payload, _render_enumerate),
+    "prop41": (_prop41_payload, lambda p: print(p["detail"])),
+    "selftest": (_selftest_payload, _render_selftest),
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    args = _build_parser().parse_args(argv)
+    build, render = COMMANDS[args.command]
+    if getattr(args, "batch", None):
+        render = _render_batch(render)
     try:
-        if args.command == "spin":
-            def render(p):
-                print(f"power {p['power']}: {json.dumps(p['spin'], sort_keys=True)}")
-                if p["classification"]:
-                    print(f"classification: {json.dumps(p['classification'], sort_keys=True)}")
-            return _run_dataset_command(
-                args, lambda d: _spin_payload(d, args.power, args.precision), render
-            )
-
-        if args.command == "quotient":
-            def render(p):
-                print(
-                    f"signature {p['sigma']}, euler {p['euler']}, b+ {p['b_plus']}, "
-                    f"b- {p['b_minus']}, integral {p['integral']}"
-                )
-            return _run_dataset_command(args, lambda d: _quotient_payload(d), render)
-
-        if args.command == "kvector":
-            def render(p):
-                if p["error"]:
-                    print(f"inconsistent dataset: {p['error']}")
-                else:
-                    print(f"defect vector: {tuple(p['k_vector'])}")
-            return _run_dataset_command(args, lambda d: _kvector_payload(d), render)
-
-        if args.command == "verdict":
-            return _run_dataset_command(
-                args, lambda d: _verdict_payload(d, args.precision), _render_verdict_text
-            )
-
-        if args.command == "enumerate":
-            if args.p != 3:
-                print("error: enumeration is implemented for order 3 only", file=sys.stderr)
-                return 2
-            pairs = rigidity.enumerate_pseudofree_p3(
-                args.quotient_b_plus, args.trivial, ManifoldInvariants.k3()
-            )
-            payload = {"pairs": [list(pair) for pair in pairs]}
-            _emit(
-                payload,
-                args.format,
-                lambda p: print(
-                    "(f1, f2) pairs: " + (", ".join(map(str, map(tuple, p["pairs"]))) or "none")
-                ),
-            )
-            return 0
-
-        if args.command == "prop41":
-            if args.m and args.n:
-                m = tuple(int(x) for x in args.m.split(","))
-                n = tuple(int(x) for x in args.n.split(","))
-                params = InstanceParameters(p=args.p, m_vector=m, n_vector=n, l=args.l, d=args.d)
-            elif args.input:
-                dataset = _load_dataset(args.input)
-                kv = k_vector(spin_number_tuple(dataset))
-                l = (dataset.manifold.b_plus - 1) // 2
-                params = rigidity.derive_instance(kv, l=l, d=args.d)
-            else:
-                print("error: give --m/--n vectors or a dataset file", file=sys.stderr)
-                return 2
-            rep = rigidity.verify_sw_vanishing(params, args.q)
-            payload = {
-                "hypotheses_met": rep.hypotheses_met,
-                "kernel_rank": rep.kernel_rank,
-                "kernel_contains_expected": rep.kernel_contains_expected,
-                "kernel_spanned_by_expected": rep.kernel_spanned_by_expected,
-                "scalar_forced_zero": rep.scalar_forced_zero,
-                "sw_value": rep.sw_value,
-                "detail": rep.detail,
-            }
-            _emit(payload, args.format, lambda p: print(p["detail"]))
-            return 0
-
-        if args.command == "selftest":
-            payload = _selftest_payload()
-            if args.format == "json":
-                print(json.dumps(payload, sort_keys=True, indent=2))
-            else:
-                for item in payload["items"]:
-                    status = "PASS" if item["passed"] else "FAIL"
-                    print(f"{status} {item['name']} ({item['detail']})")
-                print("all passed" if payload["passed"] else "FAILURES present")
-            return 0
-
-        raise AssertionError(f"unhandled command {args.command}")
-
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        _emit(build(args), args.format, render)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DatasetError, NonIntegralDefectError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError and NonIntegralDefectError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

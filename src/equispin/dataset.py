@@ -14,7 +14,7 @@ spin sign jointly as residues mod ``2p``; the exact fixed-point formulas in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cyclo import is_odd_prime
 
@@ -143,8 +143,6 @@ class FixedPointDataset:
 
 _TOP_KEYS = {"p", "manifold", "quotient_b_plus", "homologically_trivial", "isolated", "surfaces"}
 _MANIFOLD_KEYS = {"b1", "b_plus", "signature", "euler", "is_spin"}
-_POINT_KEYS = {"l_alpha", "l_beta", "epsilon"}
-_SURFACE_KEYS = {"self_intersection", "genus", "l_theta", "epsilon"}
 
 
 def _require_int(obj, name: str, errors: list[str]) -> int:
@@ -169,6 +167,29 @@ def _require_list(document: dict, key: str, errors: list[str]) -> list:
         errors.append(f"{key} must be a list")
         return []
     return value
+
+
+def _parse_components(document: dict, key: str, cls, errors: list[str]) -> list:
+    """The ``key`` list of ``document`` as ``cls`` objects; every field is an integer.
+
+    The field names and their order come from the dataclass, so an entry
+    reports its unknown, missing and non-integer keys in declaration order.
+    """
+    names = [f.name for f in fields(cls)]
+    out = []
+    for idx, item in enumerate(_require_list(document, key, errors)):
+        if not isinstance(item, dict):
+            errors.append(f"{key}[{idx}] must be an object")
+            continue
+        unknown = set(item) - set(names)
+        missing = set(names) - set(item)
+        if unknown:
+            errors.append(f"{key}[{idx}]: unknown keys: {sorted(unknown)}")
+        if missing:
+            errors.append(f"{key}[{idx}]: missing keys: {sorted(missing)}")
+        if not (unknown or missing):
+            out.append(cls(*(_require_int(item[n], f"{key}[{idx}].{n}", errors) for n in names)))
+    return out
 
 
 def parse_dataset(document) -> FixedPointDataset:
@@ -219,50 +240,8 @@ def parse_dataset(document) -> FixedPointDataset:
         is_spin=_require_bool(man_doc["is_spin"], "manifold.is_spin", errors),
     )
 
-    points = []
-    for idx, item in enumerate(_require_list(document, "isolated", errors)):
-        if not isinstance(item, dict):
-            errors.append(f"isolated[{idx}] must be an object")
-            continue
-        unknown = set(item) - _POINT_KEYS
-        missing = _POINT_KEYS - set(item)
-        if unknown:
-            errors.append(f"isolated[{idx}]: unknown keys: {sorted(unknown)}")
-        if missing:
-            errors.append(f"isolated[{idx}]: missing keys: {sorted(missing)}")
-        if unknown or missing:
-            continue
-        points.append(
-            IsolatedPoint(
-                l_alpha=_require_int(item["l_alpha"], f"isolated[{idx}].l_alpha", errors),
-                l_beta=_require_int(item["l_beta"], f"isolated[{idx}].l_beta", errors),
-                epsilon=_require_int(item["epsilon"], f"isolated[{idx}].epsilon", errors),
-            )
-        )
-
-    surfaces = []
-    for idx, item in enumerate(_require_list(document, "surfaces", errors)):
-        if not isinstance(item, dict):
-            errors.append(f"surfaces[{idx}] must be an object")
-            continue
-        unknown = set(item) - _SURFACE_KEYS
-        missing = _SURFACE_KEYS - set(item)
-        if unknown:
-            errors.append(f"surfaces[{idx}]: unknown keys: {sorted(unknown)}")
-        if missing:
-            errors.append(f"surfaces[{idx}]: missing keys: {sorted(missing)}")
-        if unknown or missing:
-            continue
-        surfaces.append(
-            FixedSurface(
-                self_intersection=_require_int(
-                    item["self_intersection"], f"surfaces[{idx}].self_intersection", errors
-                ),
-                genus=_require_int(item["genus"], f"surfaces[{idx}].genus", errors),
-                l_theta=_require_int(item["l_theta"], f"surfaces[{idx}].l_theta", errors),
-                epsilon=_require_int(item["epsilon"], f"surfaces[{idx}].epsilon", errors),
-            )
-        )
+    points = _parse_components(document, "isolated", IsolatedPoint, errors)
+    surfaces = _parse_components(document, "surfaces", FixedSurface, errors)
 
     if errors:
         raise DatasetError(errors)

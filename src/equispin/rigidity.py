@@ -21,7 +21,7 @@ corresponding module operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, IntPolynomial
@@ -354,6 +354,23 @@ def enumerate_pseudofree_p3(
     return out
 
 
+def orbit_space_p3(dataset: FixedPointDataset) -> dict:
+    """Orbit-space section of an order-3 action: exact signature, Euler characteristic, b+, b-.
+
+    ``integral`` is whether both the signature and the Euler characteristic
+    are integers; a non-integral value is itself an obstruction.
+    """
+    sigma = signature_quotient_p3(dataset)
+    euler = euler_quotient_p3(dataset)
+    return {
+        "sigma": sigma,
+        "euler": euler,
+        "b_plus": dataset.quotient_b_plus,
+        "b_minus": dataset.quotient_b_plus - sigma,
+        "integral": sigma.denominator == 1 and euler.denominator == 1,
+    }
+
+
 @dataclass(frozen=True)
 class RigidityVerdict:
     """Outcome of the full constraint pipeline with its reason chain."""
@@ -402,16 +419,9 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
 
     quotient = None
     if dataset.p == 3:
-        sigma_q = signature_quotient_p3(dataset)
-        euler_q = euler_quotient_p3(dataset)
-        integral = sigma_q.denominator == 1 and euler_q.denominator == 1
-        quotient = {
-            "sigma": sigma_q,
-            "euler": euler_q,
-            "b_plus": dataset.quotient_b_plus,
-            "b_minus": dataset.quotient_b_plus - sigma_q,
-            "integral": integral,
-        }
+        quotient = orbit_space_p3(dataset)
+        sigma_q, euler_q = quotient["sigma"], quotient["euler"]
+        f1, f2 = count_p3_types(dataset)
         if sigma_q.denominator != 1:
             violations.append(
                 Reason(
@@ -432,7 +442,6 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
     if dataset.homologically_trivial:
         manifold = dataset.manifold
         if dataset.p == 3:
-            sigma_q = signature_quotient_p3(dataset)
             if sigma_q != manifold.signature:
                 violations.append(
                     Reason(
@@ -441,7 +450,6 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
                         f"orbit space gives {sigma_q}, manifold has {manifold.signature}",
                     )
                 )
-            euler_q = euler_quotient_p3(dataset)
             if euler_q != manifold.euler:
                 violations.append(
                     Reason(
@@ -451,10 +459,8 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
                         f"(found {fixed_set_euler(dataset)})",
                     )
                 )
-            f1, f2 = count_p3_types(dataset)
-            delta = f1 - f2
             if kv is not None and manifold.is_homotopy_k3:
-                implied = 2 + Fraction(delta, 4)
+                implied = 2 + Fraction(f1 - f2, 4)
                 if implied != kv.k[0]:
                     violations.append(
                         Reason(
@@ -477,19 +483,17 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
         # the contradiction machinery below is specific to homotopy K3
         # invariants (the parity of the Seiberg-Witten integer among them)
         if not violations and kv is not None and manifold.is_homotopy_k3:
-            if dataset.p == 3:
-                f1, f2 = count_p3_types(dataset)
-                if f1 == f2:
-                    surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
-                    normalized = Fraction(surface_sum, 6)
-                    contradictions.append(
-                        Reason(
-                            "positive-vs-nonpositive-spin",
-                            f"balanced point types force k_0 = 2, hence spin number 2; "
-                            f"but with the type-determined signs the fixed set gives "
-                            f"{normalized} <= 0, and a spin number can never be 0",
-                        )
+            if dataset.p == 3 and f1 == f2:
+                surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
+                normalized = Fraction(surface_sum, 6)
+                contradictions.append(
+                    Reason(
+                        "positive-vs-nonpositive-spin",
+                        f"balanced point types force k_0 = 2, hence spin number 2; "
+                        f"but with the type-determined signs the fixed set gives "
+                        f"{normalized} <= 0, and a spin number can never be 0",
                     )
+                )
             if spin.rational and spin.sign == SIGN_NEGATIVE:
                 l = (manifold.b_plus - 1) // 2
                 vanishing = verify_sw_vanishing(derive_instance(kv, l=l, d=0))
@@ -565,14 +569,10 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
 # -- report serialization -----------------------------------------------------
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def spin_class_dict(spin: SpinClass) -> dict:
     return {
         "rational": spin.rational,
-        "value": _fraction_str(spin.value) if spin.value is not None else None,
+        "value": str(spin.value) if spin.value is not None else None,
         "sign": spin.sign,
         "estimate": spin.estimate,
     }
@@ -583,6 +583,16 @@ def cyclotomic_dict(value: CyclotomicNumber) -> dict:
         "conductor": value.conductor,
         "coeffs": [str(c) for c in value.coeffs],
     }
+
+
+def quotient_dict(quotient: dict) -> dict:
+    """The ``quotient`` report section: :func:`orbit_space_p3` with its rationals as strings."""
+    return {key: str(v) if isinstance(v, Fraction) else v for key, v in quotient.items()}
+
+
+def vanishing_dict(report: VanishingReport) -> dict:
+    """The ``prop41`` report section: every field of the report but the Adams exponent."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "q"}
 
 
 def verdict_report(v: RigidityVerdict) -> dict:
@@ -596,26 +606,8 @@ def verdict_report(v: RigidityVerdict) -> dict:
             for q, kv, cls in (v.sweep or ())
         ]
         or None,
-        "quotient": {
-            "sigma": _fraction_str(v.quotient["sigma"]),
-            "euler": _fraction_str(v.quotient["euler"]),
-            "b_plus": v.quotient["b_plus"],
-            "b_minus": _fraction_str(v.quotient["b_minus"]),
-            "integral": v.quotient["integral"],
-        }
-        if v.quotient
-        else None,
-        "prop41": {
-            "hypotheses_met": v.vanishing.hypotheses_met,
-            "kernel_rank": v.vanishing.kernel_rank,
-            "kernel_contains_expected": v.vanishing.kernel_contains_expected,
-            "kernel_spanned_by_expected": v.vanishing.kernel_spanned_by_expected,
-            "scalar_forced_zero": v.vanishing.scalar_forced_zero,
-            "sw_value": v.vanishing.sw_value,
-            "detail": v.vanishing.detail,
-        }
-        if v.vanishing
-        else None,
+        "quotient": quotient_dict(v.quotient) if v.quotient else None,
+        "prop41": vanishing_dict(v.vanishing) if v.vanishing else None,
         "reasons": [{"anchor": r.anchor, "detail": r.detail} for r in v.reasons],
         "notes": [{"anchor": r.anchor, "detail": r.detail} for r in v.notes],
     }

@@ -232,3 +232,40 @@ def test_cli_import_leaves_mpmath_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+class TestPrecisionBound:
+    @pytest.fixture
+    def irrational_file(self, tmp_path):
+        import random
+
+        from conftest import random_dataset
+
+        path = tmp_path / "p11.json"
+        path.write_text(to_json(random_dataset(random.Random(11), p=11)), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("bits", ["0", "-5", "19"])
+    def test_below_twenty_bits_is_rejected(self, capsys, irrational_file, bits):
+        code, out, err = run(capsys, "verdict", irrational_file, "--precision", bits)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --precision")
+
+    @pytest.mark.parametrize("command", ["spin", "quotient", "kvector", "verdict"])
+    def test_rejected_before_any_batch_output(self, capsys, tmp_path, command):
+        (tmp_path / "fermat.json").write_text(FERMAT_JSON, encoding="utf-8")
+        code, out, err = run(capsys, command, "--batch", str(tmp_path), "--precision", "19")
+        assert (code, out) == (2, "")
+        assert "--precision" in err
+
+    def test_twenty_bits_is_accepted(self, capsys, irrational_file):
+        code, out, _ = run(capsys, "verdict", irrational_file, "--precision", "20", "--format", "json")
+        assert code == 0
+        assert float(json.loads(out)["spin"]["estimate"]) < 0
+
+    def test_default_is_eighty_bits(self, capsys, irrational_file):
+        default = run(capsys, "verdict", irrational_file, "--format", "json")
+        assert default == run(capsys, "verdict", irrational_file, "--precision", "80", "--format", "json")
+        # nstr keeps 80 * 3 // 10 = 24 significant digits
+        assert json.loads(default[1])["spin"]["estimate"] == "-0.54066439330256893938527"
