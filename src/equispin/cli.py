@@ -180,6 +180,8 @@ def _render_enumerate(p: dict) -> None:
 
 
 def _prop41_payload(args) -> dict:
+    if args.input and (args.m or args.n):
+        raise ValueError("give a dataset file or --m/--n vectors, not both")
     if args.m and args.n:
         m = tuple(int(x) for x in args.m.split(","))
         n = tuple(int(x) for x in args.n.split(","))

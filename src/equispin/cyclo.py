@@ -236,11 +236,22 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _scatter(n: int, coeffs, k: int) -> list:
+    """Exponent vector of length ``n`` with ``coeffs[i]`` added at slot ``i k mod n``."""
+    out = [0] * n
+    for i, c in enumerate(coeffs):
+        if c:
+            out[i * k % n] += c
+    return out
+
+
 def _reduce_coeffs(n: int, vec: list[Fraction]) -> tuple[Fraction, ...]:
     """Fold a coefficient list of any length into the power basis.
 
     Exponents are first reduced mod ``n`` (``x^n = 1`` modulo ``Phi_n``),
-    then folded through the power table.
+    then folded through the power table.  This is the only reader of
+    :func:`_power_table`; every other change of exponents scatters into an
+    exponent vector with :func:`_scatter` and folds it here.
     """
     phi = euler_phi(n)
     out = list(vec[:phi]) + [Fraction(0)] * max(0, phi - len(vec))
@@ -288,15 +299,8 @@ class CyclotomicNumber:
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def zeta(n: int, power: int = 1) -> "CyclotomicNumber":
-        """The root of unity ``z_n ** power``."""
-        phi = euler_phi(n)
-        e = power % n
-        if e < phi:
-            coeffs = [Fraction(0)] * phi
-            coeffs[e] = Fraction(1)
-            return CyclotomicNumber(n, coeffs)
-        row = _power_table(n)[e - phi]
-        return CyclotomicNumber(n, [Fraction(c) for c in row])
+        """The root of unity ``z_n ** power``, the image of ``z_n`` under ``z -> z**power``."""
+        return CyclotomicNumber(n, _reduce_coeffs(n, _scatter(n, (0, 1), power)))
 
     @staticmethod
     def from_rational(value, conductor: int = 1) -> "CyclotomicNumber":
@@ -450,21 +454,7 @@ class CyclotomicNumber:
         n = self.conductor
         if gcd(k % n, n) != 1:
             raise ValueError(f"{k} is not coprime to the conductor {n}")
-        phi = euler_phi(n)
-        out = [Fraction(0)] * phi
-        table = _power_table(n)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = (i * k) % n
-            if e < phi:
-                out[e] += c
-            else:
-                row = table[e - phi]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CyclotomicNumber(n, out)
+        return CyclotomicNumber(n, _reduce_coeffs(n, _scatter(n, self.coeffs, k)))
 
     def conjugate(self) -> "CyclotomicNumber":
         if self.conductor <= 2:
@@ -491,22 +481,7 @@ class CyclotomicNumber:
             raise ValueError(f"{m} is not a multiple of the conductor {n}")
         if m == n:
             return self
-        ratio = m // n
-        phi_m = euler_phi(m)
-        out = [Fraction(0)] * phi_m
-        table = _power_table(m)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = (i * ratio) % m
-            if e < phi_m:
-                out[e] += c
-            else:
-                row = table[e - phi_m]
-                for j in range(phi_m):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CyclotomicNumber(m, out)
+        return CyclotomicNumber(m, _reduce_coeffs(m, _scatter(m, self.coeffs, m // n)))
 
     def reduced(self) -> "CyclotomicNumber":
         """The same value at the smallest possible conductor."""

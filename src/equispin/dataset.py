@@ -13,8 +13,9 @@ spin sign jointly as residues mod ``2p``; the exact fixed-point formulas in
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .cyclo import is_odd_prime
 
@@ -61,6 +62,15 @@ class ManifoldInvariants:
         return out
 
 
+def _rotation(name: str, l: int, p: int) -> list[str]:
+    """Violations of a rotation number, which must lie in 1..p-1."""
+    if l % p == 0:
+        return [f"{name}: rotation number divisible by p"]
+    if not 0 < l < p:
+        return [f"{name}: rotation number out of range 1..p-1"]
+    return []
+
+
 @dataclass(frozen=True)
 class IsolatedPoint:
     l_alpha: int
@@ -68,12 +78,7 @@ class IsolatedPoint:
     epsilon: int
 
     def violations(self, p: int) -> list[str]:
-        out = []
-        for name, l in (("l_alpha", self.l_alpha), ("l_beta", self.l_beta)):
-            if l % p == 0:
-                out.append(f"{name}: rotation number divisible by p")
-            elif not 0 < l < p:
-                out.append(f"{name}: rotation number out of range 1..p-1")
+        out = _rotation("l_alpha", self.l_alpha, p) + _rotation("l_beta", self.l_beta, p)
         if self.epsilon not in (1, -1):
             out.append("epsilon must be +1 or -1")
         return out
@@ -87,11 +92,7 @@ class FixedSurface:
     epsilon: int
 
     def violations(self, p: int, trivial_k3: bool) -> list[str]:
-        out = []
-        if self.l_theta % p == 0:
-            out.append("l_theta: rotation number divisible by p")
-        elif not 0 < self.l_theta < p:
-            out.append("l_theta: rotation number out of range 1..p-1")
+        out = _rotation("l_theta", self.l_theta, p)
         if self.genus < 0:
             out.append("genus must be non-negative")
         if self.epsilon not in (1, -1):
@@ -141,23 +142,25 @@ class FixedPointDataset:
         return out
 
 
-_TOP_KEYS = {"p", "manifold", "quotient_b_plus", "homologically_trivial", "isolated", "surfaces"}
-_MANIFOLD_KEYS = {"b1", "b_plus", "signature", "euler", "is_spin"}
+_KINDS = {"int": int, "bool": bool}
 
 
-def _require_int(obj, name: str, errors: list[str]) -> int:
-    # bool is an int subclass; reject it explicitly
-    if type(obj) is not int:
-        errors.append(f"{name} must be an integer")
-        return 0
-    return obj
+@functools.cache
+def _schema(cls) -> dict[str, type | None]:
+    """Field name to JSON type for each field of ``cls``, in declaration order.
+
+    The type is ``int`` or ``bool`` for a scalar field and None for a nested
+    object or list; annotations are strings here (postponed evaluation).
+    """
+    return {f.name: _KINDS.get(f.type) for f in fields(cls)}
 
 
-def _require_bool(obj, name: str, errors: list[str]) -> bool:
-    if type(obj) is not bool:
-        errors.append(f"{name} must be a boolean")
-        return False
-    return obj
+def _require(value, name: str, kind: type, errors: list[str]):
+    # bool is an int subclass; compare types exactly
+    if type(value) is not kind:
+        errors.append(f"{name} must be {'a boolean' if kind is bool else 'an integer'}")
+        return kind()
+    return value
 
 
 def _require_list(document: dict, key: str, errors: list[str]) -> list:
@@ -169,34 +172,49 @@ def _require_list(document: dict, key: str, errors: list[str]) -> list:
     return value
 
 
-def _parse_components(document: dict, key: str, cls, errors: list[str]) -> list:
-    """The ``key`` list of ``document`` as ``cls`` objects; every field is an integer.
+def _check_keys(cls, item, prefix: str, errors: list[str]) -> bool:
+    """Whether ``item`` is an object with exactly the fields of ``cls``; records why not."""
+    if not isinstance(item, dict):
+        errors.append(f"{prefix} must be an object")
+        return False
+    names = _schema(cls).keys()
+    if item.keys() == names:
+        return True
+    unknown = item.keys() - names
+    missing = names - item.keys()
+    if unknown:
+        errors.append(f"{prefix}: unknown keys: {sorted(unknown)}")
+    if missing:
+        errors.append(f"{prefix}: missing keys: {sorted(missing)}")
+    return False
 
-    The field names and their order come from the dataclass, so an entry
-    reports its unknown, missing and non-integer keys in declaration order.
+
+def _build(cls, item: dict, prefix: str, errors: list[str]):
+    """``cls`` from an object whose keys passed :func:`_check_keys`, fields type-checked."""
+    schema = _schema(cls).items()
+    return cls(*(_require(item[n], f"{prefix}.{n}", kind, errors) for n, kind in schema))
+
+
+def _parse_components(document: dict, key: str, cls, errors: list[str]) -> list:
+    """The ``key`` list of ``document`` as ``cls`` objects.
+
+    An entry reports its unknown, missing and mistyped keys in the
+    declaration order of ``cls``.
     """
-    names = [f.name for f in fields(cls)]
     out = []
     for idx, item in enumerate(_require_list(document, key, errors)):
-        if not isinstance(item, dict):
-            errors.append(f"{key}[{idx}] must be an object")
-            continue
-        unknown = set(item) - set(names)
-        missing = set(names) - set(item)
-        if unknown:
-            errors.append(f"{key}[{idx}]: unknown keys: {sorted(unknown)}")
-        if missing:
-            errors.append(f"{key}[{idx}]: missing keys: {sorted(missing)}")
-        if not (unknown or missing):
-            out.append(cls(*(_require_int(item[n], f"{key}[{idx}].{n}", errors) for n in names)))
+        prefix = f"{key}[{idx}]"
+        if _check_keys(cls, item, prefix, errors):
+            out.append(_build(cls, item, prefix, errors))
     return out
 
 
 def parse_dataset(document) -> FixedPointDataset:
     """Parse and validate a dataset from JSON text, bytes, or a dict.
 
-    Raises :class:`DatasetError` carrying every schema and invariant
-    violation found, each named individually.
+    Key names and JSON types are the dataclass fields.  Raises
+    :class:`DatasetError` carrying every schema and invariant violation
+    found, each named individually, in declaration order.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -207,53 +225,28 @@ def parse_dataset(document) -> FixedPointDataset:
         raise DatasetError(["document must be a JSON object"])
 
     errors: list[str] = []
-    unknown = set(document) - _TOP_KEYS
+    unknown = document.keys() - _schema(FixedPointDataset).keys()
     if unknown:
         errors.append(f"unknown keys: {sorted(unknown)}")
-    for key in ("p", "manifold", "quotient_b_plus", "homologically_trivial"):
-        if key not in document:
-            errors.append(f"missing key: {key}")
+    for f in fields(FixedPointDataset):
+        if f.default is MISSING and f.name not in document:
+            errors.append(f"missing key: {f.name}")
     if errors:
         raise DatasetError(errors)
 
-    p = _require_int(document["p"], "p", errors)
-    qb = _require_int(document["quotient_b_plus"], "quotient_b_plus", errors)
-    trivial = _require_bool(document["homologically_trivial"], "homologically_trivial", errors)
-
+    schema = _schema(FixedPointDataset).items()
+    scalars = {n: _require(document[n], n, kind, errors) for n, kind in schema if kind}
     man_doc = document["manifold"]
-    if not isinstance(man_doc, dict):
-        errors.append("manifold must be an object")
-        raise DatasetError(errors)
-    unknown = set(man_doc) - _MANIFOLD_KEYS
-    if unknown:
-        errors.append(f"manifold: unknown keys: {sorted(unknown)}")
-    missing = _MANIFOLD_KEYS - set(man_doc)
-    if missing:
-        errors.append(f"manifold: missing keys: {sorted(missing)}")
+    _check_keys(ManifoldInvariants, man_doc, "manifold", errors)
     if errors:
         raise DatasetError(errors)
-    manifold = ManifoldInvariants(
-        b1=_require_int(man_doc["b1"], "manifold.b1", errors),
-        b_plus=_require_int(man_doc["b_plus"], "manifold.b_plus", errors),
-        signature=_require_int(man_doc["signature"], "manifold.signature", errors),
-        euler=_require_int(man_doc["euler"], "manifold.euler", errors),
-        is_spin=_require_bool(man_doc["is_spin"], "manifold.is_spin", errors),
-    )
-
+    manifold = _build(ManifoldInvariants, man_doc, "manifold", errors)
     points = _parse_components(document, "isolated", IsolatedPoint, errors)
     surfaces = _parse_components(document, "surfaces", FixedSurface, errors)
-
     if errors:
         raise DatasetError(errors)
 
-    dataset = FixedPointDataset(
-        p=p,
-        manifold=manifold,
-        quotient_b_plus=qb,
-        homologically_trivial=trivial,
-        isolated=tuple(points),
-        surfaces=tuple(surfaces),
-    )
+    dataset = FixedPointDataset(manifold=manifold, isolated=points, surfaces=surfaces, **scalars)
     errors = dataset.violations()
     if errors:
         raise DatasetError(errors)
@@ -261,32 +254,8 @@ def parse_dataset(document) -> FixedPointDataset:
 
 
 def serialize_dataset(dataset: FixedPointDataset) -> dict:
-    """Canonical plain-dict form (inverse of :func:`parse_dataset`)."""
-    return {
-        "p": dataset.p,
-        "manifold": {
-            "b1": dataset.manifold.b1,
-            "b_plus": dataset.manifold.b_plus,
-            "signature": dataset.manifold.signature,
-            "euler": dataset.manifold.euler,
-            "is_spin": dataset.manifold.is_spin,
-        },
-        "quotient_b_plus": dataset.quotient_b_plus,
-        "homologically_trivial": dataset.homologically_trivial,
-        "isolated": [
-            {"l_alpha": pt.l_alpha, "l_beta": pt.l_beta, "epsilon": pt.epsilon}
-            for pt in dataset.isolated
-        ],
-        "surfaces": [
-            {
-                "self_intersection": sf.self_intersection,
-                "genus": sf.genus,
-                "l_theta": sf.l_theta,
-                "epsilon": sf.epsilon,
-            }
-            for sf in dataset.surfaces
-        ],
-    }
+    """Canonical plain-dict form (inverse of :func:`parse_dataset`); component lists are tuples."""
+    return asdict(dataset)
 
 
 def to_json(dataset: FixedPointDataset) -> str:

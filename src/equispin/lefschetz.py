@@ -40,8 +40,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, half_angle_cos, half_angle_csc
-from .dataset import FixedPointDataset, ManifoldInvariants, normalize_half_weights
+from .cyclo import CyclotomicNumber, _reduce_coeffs, _scatter, half_angle_cos, half_angle_csc
+from .dataset import FixedPointDataset, ManifoldInvariants, count_p3_types, normalize_half_weights
 
 
 class NonIntegralDefectError(ValueError):
@@ -223,16 +223,11 @@ class SpinNumberTuple:
     defects: tuple[Fraction, ...]
 
     def value(self, j: int) -> CyclotomicNumber:
-        """``Spin(j)`` at its minimal conductor (1 or p), built without multiplication."""
-        p = self.p
-        y = [0] * p  # coefficients of nu^0 .. nu^(p-1)
-        for i, k in enumerate(self.defects):
-            y[i * j % p] += k
-        # nu^(p-1) = -(1 + nu + ... + nu^(p-2)); the value is rational iff the tail is flat
-        top = y[-1]
-        if all(v == top for v in y[1:]):
-            return CyclotomicNumber.from_rational(y[0] - top)
-        return CyclotomicNumber(p, [v - top for v in y[:-1]])
+        """``Spin(j)`` at its minimal conductor (1 or p), from ``k_i`` at exponent ``i j``."""
+        coeffs = _reduce_coeffs(self.p, _scatter(self.p, self.defects, j))
+        if not any(coeffs[1:]):
+            return CyclotomicNumber.from_rational(coeffs[0])
+        return CyclotomicNumber(self.p, coeffs)
 
     @functools.cached_property
     def values(self) -> tuple[CyclotomicNumber, ...]:
@@ -346,8 +341,6 @@ def signature_quotient_p3(dataset: FixedPointDataset) -> Fraction:
     is returned as an exact rational; integrality is the caller's check (a
     non-integral value is itself an obstruction).
     """
-    from .dataset import count_p3_types
-
     _require_p3(dataset)
     f1, f2 = count_p3_types(dataset)
     surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
@@ -366,8 +359,7 @@ def euler_quotient_p3(dataset: FixedPointDataset) -> Fraction:
     as isolated points plus surfaces of Euler number ``2 - 2 genus``.
     """
     _require_p3(dataset)
-    chi_fixed = len(dataset.isolated) + sum(2 - 2 * sf.genus for sf in dataset.surfaces)
-    return Fraction(dataset.manifold.euler + 2 * chi_fixed, 3)
+    return Fraction(dataset.manifold.euler + 2 * fixed_set_euler(dataset), 3)
 
 
 def fixed_set_euler(dataset: FixedPointDataset) -> int:

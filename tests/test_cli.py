@@ -143,6 +143,15 @@ class TestProp41Command:
         code, _, err = run(capsys, "prop41")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "vectors", [("--m", "2,2,2"), ("--m", "2,2,2", "--n", "2,1,1"), ("--n", "2,1,1")]
+    )
+    def test_file_and_vectors_exit_two(self, capsys, fermat_file, vectors):
+        code, out, err = run(capsys, "prop41", fermat_file, *vectors)
+        assert code == 2
+        assert out == ""
+        assert err == "error: give a dataset file or --m/--n vectors, not both\n"
+
 
 class TestSchemaErrors:
     def test_unknown_key_exits_two(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic: construction, field axioms, Galois action, trig values."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -248,3 +249,39 @@ class TestHalfAngles:
             half_angle_csc(3, 3)
         with pytest.raises(ValueError):
             half_angle_csc(0, 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _x_power_mod(n: int, e: int) -> tuple[Fraction, ...]:
+    """Power-basis coordinates of ``x^e mod Phi_n``, by integer polynomial division."""
+    rem = (IntPolynomial((0,) * e + (1,)) % cyclotomic_polynomial(n)).coeffs
+    return tuple(Fraction(c) for c in rem) + (Fraction(0),) * (euler_phi(n) - len(rem))
+
+
+def _folded(n: int, terms) -> tuple[Fraction, ...]:
+    """``sum c x^e mod Phi_n`` over ``(e, c)`` terms, one polynomial division per term."""
+    out = [Fraction(0)] * euler_phi(n)
+    for e, c in terms:
+        out = [a + c * b for a, b in zip(out, _x_power_mod(n, e))]
+    return tuple(out)
+
+
+class TestPowerBasisFold:
+    """The one fold against remainders of ``x^e`` modulo ``Phi_n`` (``IntPolynomial`` division)."""
+
+    def test_zeta_is_the_remainder(self):
+        for n in range(1, 61):
+            for e in range(3 * n):
+                assert Z(n, e).coeffs == _x_power_mod(n, e), (n, e)
+
+    def test_galois_and_embed_are_summed_remainders(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            n = rng.randint(1, 60)
+            a = random_value(rng, n)
+            k = rng.choice([k for k in range(1, 2 * n + 1) if math.gcd(k, n) == 1])
+            assert a.galois(k).coeffs == _folded(n, ((i * k, c) for i, c in enumerate(a.coeffs)))
+            r = rng.randint(1, 4)
+            assert a.embed(n * r).coeffs == _folded(
+                n * r, ((i * r, c) for i, c in enumerate(a.coeffs))
+            )

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equispin.dataset import (
     DatasetError,
@@ -196,3 +198,98 @@ class TestTypeCounting:
         d = FixedPointDataset(5, ManifoldInvariants.k3(), 3, False)
         with pytest.raises(ValueError):
             count_p3_types(d)
+
+
+# -- the input contract under fuzzing ---------------------------------------------
+#
+# Integers stay small: ``is_odd_prime`` trial-divides, so a huge prime p would
+# make a single example run for minutes.
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-40, 40), st.floats(allow_nan=False), st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+NEAR_INTS = st.integers(-8, 30) | JSON_VALUES
+
+
+def _object(values: dict):
+    """Objects over the given keys, each present or not, plus the odd unknown key."""
+    stray = st.dictionaries(st.sampled_from(["extra", "p"]), JSON_VALUES, max_size=1)
+    known = st.fixed_dictionaries({}, optional=values)
+    return st.tuples(stray, known).map(lambda pair: {**pair[0], **pair[1]})
+
+
+def _components(names):
+    entries = _object({name: NEAR_INTS for name in names}) | JSON_VALUES
+    return st.lists(entries, max_size=3) | JSON_VALUES
+
+
+NEAR_DOCUMENTS = _object(
+    {
+        "p": st.sampled_from([3, 5, 7, 9]) | NEAR_INTS,
+        "manifold": _object(
+            {
+                "b1": NEAR_INTS,
+                "b_plus": NEAR_INTS,
+                "signature": NEAR_INTS,
+                "euler": NEAR_INTS,
+                "is_spin": st.booleans() | NEAR_INTS,
+            }
+        )
+        | JSON_VALUES,
+        "quotient_b_plus": NEAR_INTS,
+        "homologically_trivial": st.booleans() | NEAR_INTS,
+        "isolated": _components(["l_alpha", "l_beta", "epsilon"]),
+        "surfaces": _components(["self_intersection", "genus", "l_theta", "epsilon"]),
+    }
+)
+
+
+MANIFOLDS = [
+    ManifoldInvariants.k3(),
+    ManifoldInvariants(b1=0, b_plus=1, signature=0, euler=4, is_spin=True),
+    ManifoldInvariants(b1=0, b_plus=2, signature=-8, euler=14, is_spin=False),
+]
+
+
+def _outcome(document):
+    # any exception other than DatasetError propagates and fails the test
+    try:
+        return parse_dataset(document)
+    except DatasetError as exc:
+        return exc.violations
+
+
+class TestInputContract:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(JSON_VALUES, NEAR_DOCUMENTS))
+    def test_only_dataset_errors(self, document):
+        outcome = _outcome(document)
+        if not isinstance(document, str):  # a string is read as JSON text
+            assert _outcome(json.dumps(document)) == outcome
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_round_trip(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+        trivial = data.draw(st.booleans())
+        rotation = st.integers(1, p - 1)
+        sign = st.sampled_from([1, -1])
+        points = data.draw(st.lists(st.builds(IsolatedPoint, rotation, rotation, sign), max_size=4))
+        self_intersection = st.integers(-10**20, 0 if trivial else 10**20)
+        genus = st.just(0) if trivial else st.integers(0, 3)
+        surfaces = data.draw(
+            st.lists(st.builds(FixedSurface, self_intersection, genus, rotation, sign), max_size=3)
+        )
+        manifold = data.draw(st.sampled_from(MANIFOLDS))
+        b_plus = manifold.b_plus
+        qb = b_plus if trivial else data.draw(st.sampled_from(range(b_plus % 2, b_plus + 1, 2)))
+        dataset = FixedPointDataset(p, manifold, qb, trivial, points, surfaces)
+        text = to_json(dataset)
+        assert parse_dataset(serialize_dataset(dataset)) == dataset
+        assert to_json(parse_dataset(text)) == text
