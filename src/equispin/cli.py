@@ -49,7 +49,7 @@ def _emit(payload, fmt: str, render_text) -> None:
 
 
 def _load_dataset(path) -> FixedPointDataset:
-    return parse_dataset(Path(path).read_text(encoding="utf-8"))
+    return parse_dataset(Path(path).read_bytes())
 
 
 # -- dataset commands: payload builders and text renderers ------------------------

@@ -17,7 +17,7 @@ import functools
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .cyclo import is_odd_prime
+from .cyclo import PRIMALITY_BOUND, is_odd_prime
 
 
 class DatasetError(ValueError):
@@ -123,6 +123,9 @@ class FixedPointDataset:
 
     def violations(self) -> list[str]:
         out = []
+        if self.p >= PRIMALITY_BOUND:
+            out.append(f"p must be below {PRIMALITY_BOUND}, the bound of the fast primality test")
+            return out
         if not is_odd_prime(self.p):
             out.append("p must be an odd prime")
             return out
@@ -210,17 +213,20 @@ def _parse_components(document: dict, key: str, cls, errors: list[str]) -> list:
 
 
 def parse_dataset(document) -> FixedPointDataset:
-    """Parse and validate a dataset from JSON text, bytes, or a dict.
+    """Parse and validate a dataset from JSON text, UTF-8 bytes, or a dict.
 
     Key names and JSON types are the dataclass fields.  Raises
     :class:`DatasetError` carrying every schema and invariant violation
     found, each named individually, in declaration order.
     """
-    if isinstance(document, (str, bytes)):
-        try:
+    try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
+        if isinstance(document, str):
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DatasetError([f"invalid JSON: {exc}"]) from exc
+    # also bytes that are not UTF-8, and integers past Python's digit limit
+    except ValueError as exc:
+        raise DatasetError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(document, dict):
         raise DatasetError(["document must be a JSON object"])
 

@@ -1,11 +1,17 @@
 """Exact linear algebra over the integers and rationals.
 
-The routines here are plain Python arithmetic on dense lists: no
-pivot-size heuristics, no floating point, no external solvers.
+The routines here are plain Python arithmetic on dense lists: no floating
+point, no external solvers.  :func:`integer_kernel` gives the saturated
+kernel lattice of an integer matrix in row Hermite normal form (Cohen, *A
+Course in Computational Algebraic Number Theory*, section 2.4).  Its
+elimination is fraction-free and divides every new row by its content, so
+entries stay of the size of the matrix minors; the lattice is then cut down
+by one divisibility condition per pivot row, in Hermite form between steps.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -24,65 +30,95 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by its content, the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _hermite(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of the lattice spanned by ``rows``, a nonempty list.
+
+    Each column's entries are merged into one pivot row by extended-gcd row
+    operations, which are unimodular; the pivot is made positive and the
+    entries above it are reduced into ``[0, pivot)``.
+    """
+    out: list[list[int]] = []
+    for col in range(len(rows[0])):
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        if not live:
+            continue
+        head = live[0]
+        for r in live[1:]:
+            g, x, y = extended_gcd(head[col], r[col])
+            a, b = head[col] // g, r[col] // g
+            rows.append([a * v - b * u for u, v in zip(head, r)])
+            head = [x * u + y * v for u, v in zip(head, r)]
+        if head[col] < 0:
+            head = [-v for v in head]
+        for i, prev in enumerate(out):
+            f = prev[col] // head[col]
+            if f:
+                out[i] = [u - f * v for u, v in zip(prev, head)]
+        out.append(head)
+    return out
+
+
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the lattice ``{x in Z^n : A @ x = 0}`` for an integer matrix.
+    """Row Hermite normal form of the lattice ``{x in Z^n : A @ x = 0}``.
 
-    The columns of ``A`` are reduced by unimodular column operations which
-    are tracked in a square matrix ``U``; once a column of the reduced
-    matrix is zero, the facing column of ``U`` is a kernel vector.  Because
-    ``U`` is unimodular the returned vectors form a basis of the *full*
-    kernel lattice (the saturation comes for free), so every integer kernel
-    vector is an integer combination of the result.
+    Elimination from the last column leftwards brings ``A`` to one row
+    ``d_k x_k + sum_{j<k} a_kj x_j = 0`` per pivot column ``k``.  A sweep
+    left to right then builds the lattice of partial kernel vectors: a free
+    column adds a unit vector; a pivot column keeps the combinations whose
+    row sum ``d_k`` divides (the kernel of the one row ``[c_1..c_s, d_k]``,
+    ``c_i`` the sum on basis vector ``i``, read off the Hermite form of
+    ``[[c | B], [d_k | 0]]``) and appends ``x_k``.
 
-    Each basis vector is sign-normalised so its first nonzero entry is
-    positive; the order of the basis is deterministic.
+    The basis spans the *full* kernel lattice (saturated), so every integer
+    kernel vector is an integer combination of it.  The Hermite form is
+    unique for the lattice: rows ordered by the position of their first
+    nonzero entry, which is positive and lies in a free column.
     """
     if not rows:
         raise ValueError("matrix must have at least one row")
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    nrows = len(rows)
 
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    unim = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    # every pending row is zero right of ``col``; pivot rows stop at their pivot
+    pending = [_primitive(list(r)) for r in rows if any(r)]
+    pivots: dict[int, list[int]] = {}
+    for col in reversed(range(ncols)):
+        live = [r for r in pending if r[col]]
+        if live:
+            head = min(live, key=lambda r: abs(r[col]))
+            d = head[col]
+            pending = [r for r in pending if not r[col]]
+            for r in live:
+                if r is not head:
+                    c = r[col]
+                    g = math.gcd(d, c)
+                    r = [(d // g) * u - (c // g) * v for u, v in zip(r, head)]
+                    if any(r):
+                        pending.append(_primitive(r))
+            pivots[col] = head
+        for r in pending:
+            r.pop()
 
-    pivot = 0
-    for r in range(nrows):
-        if pivot == ncols:
-            break
-        sel = None
-        for j in range(pivot, ncols):
-            if cols[j][r] != 0:
-                sel = j
-                break
-        if sel is None:
+    basis: list[list[int]] = []
+    for col in range(ncols):
+        row = pivots.get(col)
+        if row is None:
+            basis = [vec + [0] for vec in basis] + [[0] * col + [1]]
             continue
-        for j in range(sel + 1, ncols):
-            if cols[j][r] == 0:
-                continue
-            a, b = cols[sel][r], cols[j][r]
-            g, x, y = extended_gcd(a, b)
-            aa, bb = a // g, b // g
-            c_sel, c_j = cols[sel], cols[j]
-            u_sel, u_j = unim[sel], unim[j]
-            # det [[x, -bb], [y, aa]] = (a*x + b*y)/g = 1, so this is unimodular
-            cols[sel] = [x * s + y * t for s, t in zip(c_sel, c_j)]
-            cols[j] = [aa * t - bb * s for s, t in zip(c_sel, c_j)]
-            unim[sel] = [x * s + y * t for s, t in zip(u_sel, u_j)]
-            unim[j] = [aa * t - bb * s for s, t in zip(u_sel, u_j)]
-        cols[pivot], cols[sel] = cols[sel], cols[pivot]
-        unim[pivot], unim[sel] = unim[sel], unim[pivot]
-        pivot += 1
-
-    basis = []
-    for j in range(ncols):
-        if all(v == 0 for v in cols[j]):
-            vec = unim[j]
-            lead = next((v for v in vec if v != 0), 0)
-            if lead < 0:
-                vec = [-v for v in vec]
-            basis.append(vec)
+        d = abs(row[col])
+        values = [sum(a * b for a, b in zip(row, vec)) % d for vec in basis]
+        if any(values):
+            lattice = _hermite([[c] + vec for c, vec in zip(values, basis)] + [[d] + [0] * col])
+            basis = [vec[1:] for vec in lattice[1:]]
+        basis = [vec + [-sum(a * b for a, b in zip(row, vec)) // row[col]] for vec in basis]
     return basis
 
 

@@ -390,42 +390,76 @@ def adams_constraint_residual(
     return normal_form(beta.adams(q) - (q ** params.l) * beta * multiplier, ideal)
 
 
+def _layers(element: RepRingElement, total: int) -> list[list[int]]:
+    """Coefficients of a normal form, one list over ``xi`` powers per ``t`` power."""
+    layers = [[0] * element.p for _ in range(total)]
+    for (i, j), c in element._c.items():
+        layers[i][j] = c
+    return layers
+
+
+def _constraint_rows(params: InstanceParameters, qs: tuple[int, ...]) -> list[list[int]]:
+    """The Adams constraint matrix on the monomial basis ``t^i xi^j`` (index ``i*p + j``).
+
+    Column ``(i, j)`` is the residual of ``t^i xi^j``, and one block of rows
+    per exponent ``q`` holds its coordinates.  The matrix is built by
+    linearity, with two normal-form calls per exponent instead of one per
+    monomial.  Multiplying by ``xi^j`` commutes with the normal form (``xi``
+    is a unit and the form is unique), so it only rotates ``xi`` exponents;
+    and ``NF(t * f) = NF(t * NF(f))`` reduces one layer, so the forms of
+    ``t^a`` and ``t^i * multiplier`` follow each from the previous one.
+    """
+    p = params.p
+    ideal = params.truncation()
+    total = ideal.total
+    # NF(t^total * xi^b) is NF(t^total) rotated by b
+    overflow = _layers(normal_form(RepRingElement.monomial(p, total), ideal), total)
+
+    def times_t(layers: list[list[int]]) -> list[list[int]]:
+        out = [[0] * p] + layers[:-1]
+        for b, a in enumerate(layers[-1]):
+            if a:
+                out = [
+                    [u + a * layer[(j - b) % p] for j, u in enumerate(row)]
+                    for row, layer in zip(out, overflow)
+                ]
+        return out
+
+    powers = [_layers(RepRingElement.one(p), total)]
+    while len(powers) <= max(qs) * (total - 1):
+        powers.append(times_t(powers[-1]))
+
+    rows: list[list[int]] = []
+    for q in qs:
+        scale = q ** params.l
+        products = [_layers(normal_form(adams_multiplier(params, q), ideal), total)]
+        while len(products) < total:
+            products.append(times_t(products[-1]))
+        for a in range(total):
+            for b in range(p):
+                row: list[int] = []
+                for i in range(total):
+                    power, product = powers[q * i][a], products[i][a]
+                    row.extend(power[(b - q * j) % p] - scale * product[(b - j) % p] for j in range(p))
+                rows.append(row)
+    return rows
+
+
 def solve_adams_kernel(params: InstanceParameters, q=2) -> list[RepRingElement]:
     """Integral basis of the kernel of the Adams constraint.
 
     ``q`` may be a single exponent or a sequence; with several exponents the
     constraint matrices are stacked, computing the intersection of the
     kernels.  The basis spans the full kernel lattice (saturated) and is
-    returned in a deterministic order.
+    its Hermite normal form on the monomials ``t^i xi^j`` ordered by ``(i, j)``,
+    so it is unique for the kernel.
     """
     qs = (q,) if isinstance(q, int) else tuple(q)
     if not qs or any(x < 1 for x in qs):
         raise ValueError("Adams exponents must be positive integers")
     p = params.p
-    total = params.truncation().total
-    basis_monomials = [(i, j) for i in range(total) for j in range(p)]
-    index = {mon: r for r, mon in enumerate(basis_monomials)}
-    dim = len(basis_monomials)
-
-    columns: list[list[int]] = []
-    multipliers = {x: adams_multiplier(params, x) for x in qs}
-    for mon in basis_monomials:
-        beta = RepRingElement.monomial(p, *mon)
-        col: list[int] = []
-        for x in qs:
-            residual = adams_constraint_residual(beta, params, x, multipliers[x])
-            coords = [0] * dim
-            for (i, j), c in residual._c.items():
-                coords[index[(i, j)]] = c
-            col.extend(coords)
-        columns.append(col)
-
-    rows = [[columns[c][r] for c in range(dim)] for r in range(dim * len(qs))]
-    kernel = integer_kernel(rows)
-    return [
-        RepRingElement(p, {basis_monomials[r]: v for r, v in enumerate(vec) if v})
-        for vec in kernel
-    ]
+    kernel = integer_kernel(_constraint_rows(params, qs))
+    return [RepRingElement(p, {divmod(r, p): v for r, v in enumerate(vec) if v}) for vec in kernel]
 
 
 # -- closed-form trace values ------------------------------------------------

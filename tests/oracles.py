@@ -1,0 +1,135 @@
+"""Slow independent implementations the test suite checks the program against.
+
+``integer_kernel`` is a unimodular column sweep: it tracks every column
+operation in a square unimodular matrix, so its basis is saturated by
+construction, but its entries grow without bound.  ``hermite_form``
+canonicalises any basis of a lattice by a Euclidean row reduction that shares
+no code with the program's, so two bases span the same lattice exactly when
+their forms are equal.  ``normal_form_constraint_rows`` builds the Adams
+constraint matrix with one ``normal_form`` call per basis monomial.
+"""
+
+from __future__ import annotations
+
+from equispin.intlinalg import extended_gcd
+from equispin.repring import (
+    InstanceParameters,
+    RepRingElement,
+    adams_constraint_residual,
+    adams_multiplier,
+)
+
+
+def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of the lattice ``{x in Z^n : A @ x = 0}`` for an integer matrix.
+
+    The columns of ``A`` are reduced by unimodular column operations which
+    are tracked in a square matrix ``U``; once a column of the reduced
+    matrix is zero, the facing column of ``U`` is a kernel vector.  Because
+    ``U`` is unimodular the returned vectors form a basis of the *full*
+    kernel lattice (the saturation comes for free), so every integer kernel
+    vector is an integer combination of the result.
+
+    Each basis vector is sign-normalised so its first nonzero entry is
+    positive; the order of the basis is deterministic.
+    """
+    if not rows:
+        raise ValueError("matrix must have at least one row")
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    nrows = len(rows)
+
+    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+    unim = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+
+    pivot = 0
+    for r in range(nrows):
+        if pivot == ncols:
+            break
+        sel = None
+        for j in range(pivot, ncols):
+            if cols[j][r] != 0:
+                sel = j
+                break
+        if sel is None:
+            continue
+        for j in range(sel + 1, ncols):
+            if cols[j][r] == 0:
+                continue
+            a, b = cols[sel][r], cols[j][r]
+            g, x, y = extended_gcd(a, b)
+            aa, bb = a // g, b // g
+            c_sel, c_j = cols[sel], cols[j]
+            u_sel, u_j = unim[sel], unim[j]
+            # det [[x, -bb], [y, aa]] = (a*x + b*y)/g = 1, so this is unimodular
+            cols[sel] = [x * s + y * t for s, t in zip(c_sel, c_j)]
+            cols[j] = [aa * t - bb * s for s, t in zip(c_sel, c_j)]
+            unim[sel] = [x * s + y * t for s, t in zip(u_sel, u_j)]
+            unim[j] = [aa * t - bb * s for s, t in zip(u_sel, u_j)]
+        cols[pivot], cols[sel] = cols[sel], cols[pivot]
+        unim[pivot], unim[sel] = unim[sel], unim[pivot]
+        pivot += 1
+
+    basis = []
+    for j in range(ncols):
+        if all(v == 0 for v in cols[j]):
+            vec = unim[j]
+            lead = next((v for v in vec if v != 0), 0)
+            if lead < 0:
+                vec = [-v for v in vec]
+            basis.append(vec)
+    return basis
+
+
+def hermite_form(basis: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of the lattice spanned by ``basis``, zero rows dropped.
+
+    Pivots are positive and each entry above a pivot lies in ``[0, pivot)``.
+    """
+    rows = [list(r) for r in basis if any(r)]
+    out: list[list[int]] = []
+    col = 0
+    while rows:
+        live = [r for r in rows if r[col]]
+        if not live:
+            col += 1
+            continue
+        # Euclid on the column: keep reducing by the row of smallest entry
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            head = live[0]
+            for r in live[1:]:
+                f = r[col] // head[col]
+                r[:] = [u - f * v for u, v in zip(r, head)]
+            live = [head] + [r for r in live[1:] if r[col]]
+        head = live[0]
+        if head[col] < 0:
+            head[:] = [-v for v in head]
+        for prev in out:
+            f = prev[col] // head[col]
+            prev[:] = [u - f * v for u, v in zip(prev, head)]
+        out.append(head)
+        rows = [r for r in rows if r is not head and any(r)]
+        col += 1
+    return out
+
+
+def normal_form_constraint_rows(params: InstanceParameters, qs) -> list[list[int]]:
+    """The Adams constraint matrix, one residual normal form per basis monomial."""
+    p = params.p
+    total = params.truncation().total
+    monomials = [(i, j) for i in range(total) for j in range(p)]
+    index = {mon: r for r, mon in enumerate(monomials)}
+    columns = []
+    for mon in monomials:
+        beta = RepRingElement.monomial(p, *mon)
+        col = []
+        for q in qs:
+            coords = [0] * len(monomials)
+            residual = adams_constraint_residual(beta, params, q, adams_multiplier(params, q))
+            for key, c in residual.terms():
+                coords[index[key]] = c
+            col.extend(coords)
+        columns.append(col)
+    return [list(row) for row in zip(*columns)]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,24 @@ class TestEnumerateCommand:
 
 
 class TestProp41Command:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--m", "4,4,4", "--n", "4,3,3"),
+            ("--p", "5", "--m", "1,2,2,2,2", "--n", "3,1,1,1,1"),
+        ],
+    )
+    def test_former_over_cap_instances_within_one_second(self, capsys, argv):
+        # dimensions 36 and 45: the unimodular column sweep ran past 3 s on both
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "prop41", *argv, "--l", "1", "--format", "json")
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kernel_rank"] == 1
+        assert payload["kernel_spanned_by_expected"] is True
+        assert elapsed < 1.0
+
     def test_explicit_vectors(self, capsys):
         code, out, _ = run(
             capsys, "prop41", "--m", "2,2,2", "--n", "2,1,1", "--format", "json"
@@ -168,6 +187,19 @@ class TestSchemaErrors:
         path.write_text("{not json", encoding="utf-8")
         code, _, err = run(capsys, "verdict", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"\xff", "'utf-8' codec can't decode"), (b'{"p": ' + b"7" * 5000 + b"}", "4300 digits")],
+    )
+    def test_undecodable_document_exits_two(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "verdict", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+        assert reason in err
 
     @pytest.mark.parametrize("key", ["isolated", "surfaces"])
     @pytest.mark.parametrize("value", [5, None, "ab", {"l_alpha": 1}])

@@ -17,6 +17,7 @@ from equispin.cyclo import (
     euler_phi,
     half_angle_cos,
     half_angle_csc,
+    is_odd_prime,
 )
 
 Z = CyclotomicNumber.zeta
@@ -28,6 +29,22 @@ def random_value(rng, n, span=4):
     return CyclotomicNumber(
         n, [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(phi)]
     )
+
+
+def _trial_division(n):
+    return n >= 3 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        assert [n for n in range(10**5) if is_odd_prime(n) != _trial_division(n)] == []
+
+    def test_large_values(self):
+        assert is_odd_prime(2**61 - 1)
+        assert not is_odd_prime(2**61 + 1)
+        # strong pseudoprimes to every prime base up to 23 and up to 37
+        assert not is_odd_prime(3825123056546413051)
+        assert not is_odd_prime(318665857834031151167461)
 
 
 class TestCyclotomicPolynomial:

@@ -1,11 +1,13 @@
 """Dataset parsing, validation, serialization, and half-weight encoding."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equispin.cyclo import PRIMALITY_BOUND
 from equispin.dataset import (
     DatasetError,
     FixedPointDataset,
@@ -122,6 +124,24 @@ class TestParsing:
         dataset = parse_dataset(json.dumps(doc))
         assert dataset.surfaces[0].self_intersection == -(10**30)
 
+    @pytest.mark.parametrize(
+        "document", [b"\xff", b'{"p": ' + b"7" * 5000 + b"}", '{"p": ' + "7" * 5000 + "}"]
+    )
+    def test_undecodable_document_is_dataset_error(self, document):
+        with pytest.raises(DatasetError, match="invalid JSON"):
+            parse_dataset(document)
+
+    def test_huge_prime_order_returns_fast(self):
+        started = time.perf_counter()
+        dataset = parse_dataset(json.dumps(dict(FERMAT_DOC, p=2**61 - 1, isolated=[])))
+        assert time.perf_counter() - started < 0.1
+        assert dataset.p == 2**61 - 1
+
+    def test_order_past_primality_bound_rejected(self):
+        doc = dict(FERMAT_DOC, p=PRIMALITY_BOUND + 2, isolated=[])
+        with pytest.raises(DatasetError, match=str(PRIMALITY_BOUND)):
+            parse_dataset(json.dumps(doc))
+
     def test_round_trip(self):
         text = json.dumps(FERMAT_DOC)
         assert to_json(parse_dataset(text)) == canonical_json(text)
@@ -202,8 +222,8 @@ class TestTypeCounting:
 
 # -- the input contract under fuzzing ---------------------------------------------
 #
-# Integers stay small: ``is_odd_prime`` trial-divides, so a huge prime p would
-# make a single example run for minutes.
+# Integers stay small, as in the documents the program is meant for; the
+# huge-integer cases have their own tests above.
 
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-40, 40), st.floats(allow_nan=False), st.text(max_size=4)

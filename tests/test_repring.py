@@ -1,6 +1,7 @@
 """Representation-ring arithmetic, truncation, Adams kernels, trace values."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from equispin.repring import (
     InstanceParameters,
     RepRingElement,
     TruncationIdeal,
+    _constraint_rows,
     adams,
     adams_constraint_residual,
     extract_sw,
@@ -22,6 +24,8 @@ from equispin.repring import (
     tom_dieck_product,
     tom_dieck_rhs,
 )
+
+from oracles import normal_form_constraint_rows
 
 ONE = RepRingElement.one(3)
 T = RepRingElement.t(3)
@@ -201,6 +205,28 @@ class TestAdamsKernel:
     def test_invalid_adams_exponent(self):
         with pytest.raises(ValueError):
             solve_adams_kernel(self.PARAMS, 0)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PARAMS,
+            InstanceParameters(p=3, m_vector=(1, 1, 0), n_vector=(0, 0, 0), l=1, d=0),
+            InstanceParameters(p=3, m_vector=(3, 2, 2), n_vector=(2, 1, 1), l=1, d=1),
+            InstanceParameters(p=3, m_vector=(1, 3, 3), n_vector=(3, 1, 1), l=1, d=0),
+            InstanceParameters(p=5, m_vector=(3, 1, 1, 1, 1), n_vector=(2, 1, 1, 1, 1), l=0, d=0),
+        ],
+    )
+    def test_matrix_by_linearity_matches_normal_form_build(self, params):
+        for qs in ((1,), (2,), (3,), (2, 3)):
+            assert _constraint_rows(params, qs) == normal_form_constraint_rows(params, qs)
+
+    def test_dimension_133_within_three_seconds(self):
+        # m = (1, 3, ..., 3): the unimodular column sweep ran past 30 s here
+        params = InstanceParameters(p=7, m_vector=(1,) + (3,) * 6, n_vector=(11,) + (1,) * 6, l=1)
+        started = time.perf_counter()
+        kernel = solve_adams_kernel(params, 2)
+        assert time.perf_counter() - started < 3.0
+        assert len(kernel) == 13
 
 
 class TestTomDieck:
