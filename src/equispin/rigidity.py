@@ -21,11 +21,14 @@ corresponding module operation.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, IntPolynomial
 from .dataset import FixedPointDataset, ManifoldInvariants, count_p3_types
+from .intlinalg import integer_kernel
 from .lefschetz import (
     KVector,
     NonIntegralDefectError,
@@ -37,7 +40,7 @@ from .lefschetz import (
     spin_number_tuple,
     synthesize_spins,
 )
-from .repring import InstanceParameters, RepRingElement, adams_constraint_residual, solve_adams_kernel
+from .repring import InstanceParameters, _constraint_rows
 
 CONTRADICTION = "Contradiction"
 CONSTRAINT_VIOLATION = "ConstraintViolation"
@@ -272,15 +275,31 @@ def _scalar_constraint_poly(p: int, k_total: int, l: int) -> IntPolynomial:
     return p * ones ** (k_total - 1) - IntPolynomial((p ** (l + 1),))
 
 
+def _candidate_vector(p: int, total: int) -> list[int]:
+    """``sigma (1-t)^(total-1)`` on the monomials ``t^i xi^j`` (index ``i*p + j``).
+
+    Its coefficient at ``t^i xi^j`` is ``(-1)^i C(total-1, i)`` for every ``j``.
+    """
+    return [(-1) ** i * math.comb(total - 1, i) for i in range(total) for _ in range(p)]
+
+
+def _annihilates(rows: list[list[int]], vector: list[int]) -> bool:
+    """Whether every row of the matrix has dot product 0 with ``vector``."""
+    return not any(sum(a * b for a, b in zip(row, vector)) for row in rows)
+
+
 def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingReport:
     """Run the full vanishing verification on one parameter set.
 
-    Steps: check the hypotheses (``k_0 <= l`` and equal tail defects); solve
-    the Adams-constraint kernel at exponent ``q``; test that the predicted
-    generator ``sigma (1-t)^(M-1)`` lies in (and, when the rank is 1, spans)
-    the kernel; then run the top-exponent specialization that forces the
-    remaining integer scalar to vanish, which pins the Seiberg-Witten
-    integer of the trivial spin-c structure to 0.
+    Steps: check the hypotheses (``k_0 <= l`` and equal tail defects); build
+    the Adams constraint matrix at exponent ``q`` and take its saturated
+    integer kernel; write the predicted generator ``sigma (1-t)^(M-1)`` as an
+    integer vector and test that every row annihilates it (the residual is
+    linear and its normal form unique, so this is
+    ``adams_constraint_residual(...).is_zero()``) and, when the rank is 1,
+    that it spans the kernel up to sign; then run the top-exponent
+    specialization that forces the remaining integer scalar to vanish, which
+    pins the Seiberg-Witten integer of the trivial spin-c structure to 0.
     """
     k = params.k_vector
     l = params.l
@@ -292,15 +311,15 @@ def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingRepo
                 f"got {k}); no conclusion"
             ),
         )
+    if q < 1:
+        raise ValueError("Adams exponents must be positive integers")
     p = params.p
-    total = params.truncation().total
-    sigma = RepRingElement.sigma(p)
-    one_minus_t = RepRingElement.one(p) - RepRingElement.t(p)
-    expected = sigma * one_minus_t ** (total - 1)
+    expected = _candidate_vector(p, params.truncation().total)
 
-    kernel = solve_adams_kernel(params, q)
-    contains = adams_constraint_residual(expected, params, q).is_zero()
-    spanned = len(kernel) == 1 and kernel[0] in (expected, -expected)
+    rows = _constraint_rows(params, (q,))
+    kernel = integer_kernel(rows)
+    contains = _annihilates(rows, expected)
+    spanned = kernel in ([expected], [[-v for v in expected]])
 
     residual = _scalar_constraint_poly(p, sum(k), l)
     forced = not residual.is_zero()
@@ -369,6 +388,16 @@ def orbit_space_p3(dataset: FixedPointDataset) -> dict:
         "b_minus": dataset.quotient_b_plus - sigma,
         "integral": sigma.denominator == 1 and euler.denominator == 1,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _vanishing_once(params: InstanceParameters) -> VanishingReport:
+    """:func:`verify_sw_vanishing` at ``q = 2``, run once per instance per process.
+
+    The verdict path reaches few distinct instances (one per defect vector),
+    and the report is immutable, so every later dataset reuses it.
+    """
+    return verify_sw_vanishing(params)
 
 
 @dataclass(frozen=True)
@@ -496,7 +525,7 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
                 )
             if spin.rational and spin.sign == SIGN_NEGATIVE:
                 l = (manifold.b_plus - 1) // 2
-                vanishing = verify_sw_vanishing(derive_instance(kv, l=l, d=0))
+                vanishing = _vanishing_once(derive_instance(kv, l=l, d=0))
                 if vanishing.hypotheses_met and vanishing.scalar_forced_zero:
                     contradictions.append(
                         Reason(

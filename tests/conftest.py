@@ -1,15 +1,28 @@
-"""Shared generators for randomized dataset corpora."""
+"""Shared generators for randomized dataset corpora, and per-test cache isolation."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
+from equispin import rigidity
 from equispin.dataset import (
     FixedPointDataset,
     FixedSurface,
     IsolatedPoint,
     ManifoldInvariants,
 )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_vanishing_cache():
+    """Start every test with an empty verdict-path vanishing cache.
+
+    A test that patches the Adams kernel then sees its patch, instead of a
+    report an earlier test left behind.
+    """
+    rigidity._vanishing_once.cache_clear()
 
 
 def random_dataset(

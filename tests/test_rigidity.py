@@ -1,5 +1,6 @@
 """Verdict engine: classification, defect constraints, vanishing, enumeration."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,9 +14,15 @@ from equispin.dataset import (
     ManifoldInvariants,
     fermat_quartic,
 )
-from equispin import lefschetz
+from equispin import lefschetz, rigidity
+from equispin.intlinalg import integer_kernel
 from equispin.lefschetz import KVector, k_vector, spin_number, spin_number_tuple
-from equispin.repring import InstanceParameters
+from equispin.repring import (
+    InstanceParameters,
+    RepRingElement,
+    _constraint_rows,
+    adams_constraint_residual,
+)
 from equispin.rigidity import (
     CONSTRAINT_VIOLATION,
     CONTRADICTION,
@@ -140,6 +147,100 @@ class TestVerifyProp41:
         params = derive_instance(KVector(3, (0, 1, 1)))
         assert params.k_vector == (0, 1, 1)
         assert params.l + sum(params.n_vector) == sum(params.m_vector) - 1
+
+
+def _element(p: int, vector: list[int]) -> RepRingElement:
+    """The element with coordinate ``vector[i*p + j]`` at ``t^i xi^j``."""
+    return RepRingElement(p, {divmod(r, p): v for r, v in enumerate(vector) if v})
+
+
+class TestCandidateMembership:
+    # Adams dimension (p * truncation total) 9 to 45; the last two are the
+    # dimension-36 and dimension-45 instances of the benchmark's probes
+    INSTANCES = (
+        InstanceParameters(p=3, m_vector=(2, 2, 2), n_vector=(2, 1, 1), l=1),
+        InstanceParameters(p=3, m_vector=(1, 3, 3), n_vector=(3, 1, 1), l=1),
+        InstanceParameters(p=3, m_vector=(2, 1, 1), n_vector=(0, 1, 1), l=0, d=1),
+        InstanceParameters(p=5, m_vector=(1, 1, 1, 1, 1), n_vector=(2, 0, 0, 0, 0), l=1, d=1),
+        InstanceParameters(p=3, m_vector=(4, 4, 4), n_vector=(4, 3, 3), l=1),
+        InstanceParameters(p=5, m_vector=(1, 2, 2, 2, 2), n_vector=(3, 1, 1, 1, 1), l=1),
+    )
+
+    def test_candidate_vector_is_sigma_times_power(self):
+        for p in (3, 5, 7):
+            one_minus_t = RepRingElement.one(p) - RepRingElement.t(p)
+            for total in range(1, 9):
+                want = RepRingElement.sigma(p) * one_minus_t ** (total - 1)
+                assert _element(p, rigidity._candidate_vector(p, total)) == want, (p, total)
+
+    def test_matrix_membership_matches_residual(self):
+        rng = random.Random(113)
+        for params in self.INSTANCES:
+            p, total = params.p, params.truncation().total
+            expected = rigidity._candidate_vector(p, total)
+            for q in (2, 3):
+                rows = _constraint_rows(params, (q,))
+                kernel = integer_kernel(rows)
+                probes = [expected, [0] * len(expected)] + kernel[:3]
+                probes.append([sum(rng.randint(-2, 2) * v[r] for v in kernel) for r in range(len(expected))])
+                probes += [[rng.randint(-2, 2) for _ in expected] for _ in range(2)]
+                for vec in probes:
+                    want = adams_constraint_residual(_element(p, vec), params, q).is_zero()
+                    assert rigidity._annihilates(rows, vec) == want, (params, q, vec)
+                assert rigidity._annihilates(rows, expected)
+
+    def test_perturbed_candidate_is_rejected(self):
+        for params in self.INSTANCES:
+            p, total = params.p, params.truncation().total
+            rows = _constraint_rows(params, (2,))
+            for r in (0, p * total // 2, p * total - 1):
+                vec = rigidity._candidate_vector(p, total)
+                vec[r] += 1
+                assert not rigidity._annihilates(rows, vec), (params, r)
+                assert not adams_constraint_residual(_element(p, vec), params, 2).is_zero()
+
+
+class TestVanishingCache:
+    @staticmethod
+    def _count_kernels(monkeypatch) -> list[int]:
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows[0]))
+            return integer_kernel(rows)
+
+        monkeypatch.setattr(rigidity, "integer_kernel", counted)
+        return calls
+
+    def test_shared_defect_vector_runs_kernel_once(self, monkeypatch):
+        negative_one = engineered_trivial_datasets()[1]
+        datasets = (
+            negative_one,
+            dataclasses.replace(negative_one, isolated=negative_one.isolated[::-1]),
+            dataclasses.replace(negative_one, surfaces=negative_one.surfaces[::-1]),
+        )
+        calls = self._count_kernels(monkeypatch)
+        verdicts = [verdict(d) for d in datasets]
+        assert calls == [15]
+        assert all(v.outcome == CONTRADICTION and v.k.k == (0, 1, 1) for v in verdicts)
+        assert all(v.vanishing is verdicts[0].vanishing for v in verdicts)
+
+    def test_direct_call_is_not_cached(self, monkeypatch):
+        params = InstanceParameters(p=3, m_vector=(2, 2, 2), n_vector=(2, 1, 1), l=1)
+        calls = self._count_kernels(monkeypatch)
+        assert verify_sw_vanishing(params) == verify_sw_vanishing(params)
+        assert calls == [18, 18]
+
+    def test_report_same_with_cache_warm_and_cleared(self):
+        rng = random.Random(127)
+        datasets = engineered_trivial_datasets() + [
+            random_dataset(rng, p=3, trivial=True) for _ in range(20)
+        ]
+        warm = [verdict_report(verdict(d)) for d in datasets]
+        assert [verdict_report(verdict(d)) for d in datasets] == warm
+        assert rigidity._vanishing_once.cache_info().currsize == 2
+        rigidity._vanishing_once.cache_clear()
+        assert [verdict_report(verdict(d)) for d in datasets] == warm
 
 
 class TestEnumeration:
