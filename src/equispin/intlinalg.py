@@ -7,12 +7,22 @@ Course in Computational Algebraic Number Theory*, section 2.4).  Its
 elimination is fraction-free and divides every new row by its content, so
 entries stay of the size of the matrix minors; the lattice is then cut down
 by one divisibility condition per pivot row, in Hermite form between steps.
+
+The routines modulo a prime ``ell`` (:func:`kernel_mod`, :func:`matmul_mod`,
+:func:`poly_inverse_mod`) work in the field of ``ell`` elements; a kernel
+taken there bounds the nullity over Q from above, since rank can only drop
+modulo ``ell``.  :func:`certified_kernel` closes the gap: it lifts kernels
+taken modulo several primes to rationals by Chinese remaindering and
+rational reconstruction, and keeps them only once every lifted vector passes
+an exact check, so the count it returns is a proven lower bound that meets
+the upper one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -160,3 +170,170 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
     for r, c in pivots:
         x[c] = aug[r][ncols]
     return x
+
+
+def _echelon_mod(rows: list[list[int]], ell: int) -> tuple[list[int], list[list[int]]]:
+    """Reduced row echelon form modulo the prime ``ell``: pivot columns and nonzero rows.
+
+    A row not yet chosen as a pivot is zero left of the current column, so
+    each elimination only touches the columns from the pivot on.  The pivot
+    row itself reduces to zero and drops out with the other zero rows.
+    """
+
+    def eliminate(r: list[int], col: int, tail: list[int]) -> list[int]:
+        f = r[col]
+        return r[:col] + [(u - f * v) % ell for u, v in zip(r[col:], tail)] if f else r
+
+    rows = [[v % ell for v in r] for r in rows]
+    pivots: list[int] = []
+    out: list[list[int]] = []
+    for col in range(len(rows[0]) if rows else 0):
+        head = next((r for r in rows if r[col]), None)
+        if head is None:
+            continue
+        inv = pow(head[col], -1, ell)
+        tail = [v * inv % ell for v in head[col:]]
+        rows = [r for r in (eliminate(r, col, tail) for r in rows) if any(r)]
+        out = [eliminate(o, col, tail) for o in out]
+        pivots.append(col)
+        out.append([0] * col + tail)
+    return pivots, out
+
+
+def kernel_mod(rows: list[list[int]], ell: int) -> list[list[int]]:
+    """Basis of ``{x : A @ x = 0}`` over the field of ``ell`` elements, ``ell`` prime.
+
+    One vector per free column of the echelon form: 1 there, 0 at the other
+    free columns, so the basis is determined by the kernel.
+    """
+    pivots, reduced = _echelon_mod(rows, ell)
+    free = sorted(set(range(len(rows[0]))) - set(pivots))
+    basis = []
+    for f in free:
+        vec = [0] * len(rows[0])
+        vec[f] = 1
+        for col, row in zip(pivots, reduced):
+            vec[col] = -row[f] % ell
+        basis.append(vec)
+    return basis
+
+
+def matmul_mod(a: list[list[int]], b: list[list[int]], ell: int) -> list[list[int]]:
+    """``a @ b`` modulo ``ell``."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % ell for col in cols] for row in a]
+
+
+def poly_inverse_mod(a: list[int], g: list[int], ell: int) -> list[int]:
+    """``b`` with ``a*b = 1`` modulo the polynomial ``g`` over the field of ``ell`` elements.
+
+    Polynomials are coefficient lists, lowest degree first, and ``b`` has
+    ``deg g`` coefficients.  Extended Euclid, keeping ``r = u*a (mod g)`` for
+    both remainders; raises ``ZeroDivisionError`` when ``a`` and ``g`` have
+    a common factor.
+    """
+
+    def trim(f: list[int]) -> list[int]:
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    def minus_shifted(x: list[int], f: int, shift: int, y: list[int]) -> list[int]:
+        """``x - f * t^shift * y``, without trailing zeros."""
+        n = max(len(x), shift + len(y))
+        y = [0] * shift + y + [0] * (n - shift - len(y))
+        return trim([(u - f * v) % ell for u, v in zip(x + [0] * (n - len(x)), y)])
+
+    r0, u0 = trim([v % ell for v in g]), []
+    r1, u1 = trim([v % ell for v in a]), [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, ell)
+        while len(r0) >= len(r1):
+            f, shift = r0[-1] * inv % ell, len(r0) - len(r1)
+            r0, u0 = minus_shifted(r0, f, shift, r1), minus_shifted(u0, f, shift, u1)
+        (r0, u0), (r1, u1) = (r1, u1), (r0, u0)
+    if not r1:
+        raise ZeroDivisionError(f"polynomial is not invertible modulo {ell}")
+    c = pow(r1[0], -1, ell)
+    return [c * v % ell for v in u1] + [0] * (len(g) - 1 - len(u1))
+
+
+def rational_reconstruction(a: int, m: int) -> Fraction | None:
+    """The fraction ``n/d`` with ``n = a*d (mod m)`` and ``|n|, d <= sqrt(m/2)``, if any.
+
+    Such a fraction is unique; it is read off the extended Euclidean
+    algorithm on ``(m, a)``, stopped at the first remainder within the bound
+    (Wang's algorithm).  ``None`` when the cofactor there is out of bounds.
+    """
+    bound = math.isqrt(m // 2)
+    r0, r1 = m, a % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        f = r0 // r1
+        r0, r1 = r1, r0 - f * r1
+        s0, s1 = s1, s0 - f * s1
+    if not 0 < abs(s1) <= bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lift(residues: list[int], modulus: int) -> list[int] | None:
+    """The vector reconstructed from ``residues``, times the lcm of its denominators."""
+    fracs = []
+    for v in residues:
+        f = rational_reconstruction(v, modulus)
+        if f is None:
+            return None
+        fracs.append(f)
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
+
+
+def certified_kernel(residue_kernel, is_kernel_vector, primes) -> list[list[int]]:
+    """A basis, over Q, of an integer kernel known through its reductions modulo primes.
+
+    ``residue_kernel(ell)`` spans the kernel's image modulo the prime ``ell``,
+    which contains the reduction of the kernel over Q, so its dimension is an
+    upper bound.  ``is_kernel_vector(x)`` decides exactly whether an integer
+    vector lies in the kernel.  Primes are drawn from ``primes`` in turn:
+
+    * each kernel modulo ``ell`` is put in reduced echelon form, and its key
+      (dimension, pivot columns) compared with the least key seen.  A larger
+      key marks a prime where the rank or a leading minor of the kernel
+      dropped, and the prime is skipped; a smaller one restarts the lift;
+    * the echelon forms of the primes of the least key are joined by Chinese
+      remaindering, and each entry is reconstructed as a rational;
+    * when every reconstructed vector passes ``is_kernel_vector``, the
+      vectors are independent (one pivot each) and as many as the upper
+      bound, so they span the kernel.  Otherwise the next prime is drawn.
+
+    The returned vectors are integral, one per pivot column.  A supply of
+    primes that runs out first raises ``RuntimeError``.
+    """
+    best = None
+    for ell in primes:
+        pivots, rows = _echelon_mod(residue_kernel(ell), ell)
+        key = (len(rows), pivots)
+        if best is not None and key > best:
+            continue
+        if key == best:
+            inv = pow(modulus, -1, ell)
+            residues = [
+                [u + modulus * ((v - u) * inv % ell) for u, v in zip(old, new)]
+                for old, new in zip(residues, rows)
+            ]
+            modulus *= ell
+        else:
+            best, residues, modulus = key, rows, ell
+        # every vector is reconstructed before any is checked, as the check
+        # costs far more than a failed reconstruction
+        vectors = []
+        for r in residues:
+            vec = _lift(r, modulus)
+            if vec is None:
+                break
+            vectors.append(vec)
+        else:
+            if all(map(is_kernel_vector, vectors)):
+                return vectors
+    raise RuntimeError("prime supply exhausted before the kernel was certified")

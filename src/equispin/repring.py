@@ -7,19 +7,22 @@ cyclotomic field: the sum ``sigma = 1 + xi + ... + xi^(p-1)`` is a zero
 divisor here, and the quotient-ring structure below depends on it.
 
 The module provides truncated quotient rings, Adams operations, the integer
-kernel of the Adams constraint, the closed-form fixed-element trace values,
-and extraction of the Seiberg-Witten integer from a reduced element.
+kernel of the Adams constraint and its exact rank by characters of ``Z/p``,
+the closed-form fixed-element trace values, and extraction of the
+Seiberg-Witten integer from a reduced element.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cyclo import CyclotomicNumber, is_odd_prime
-from .intlinalg import integer_kernel
+from .intlinalg import certified_kernel, integer_kernel, kernel_mod, matmul_mod, poly_inverse_mod
 
 
 class RepRingElement:
@@ -398,16 +401,20 @@ def _layers(element: RepRingElement, total: int) -> list[list[int]]:
     return layers
 
 
-def _constraint_rows(params: InstanceParameters, qs: tuple[int, ...]) -> list[list[int]]:
-    """The Adams constraint matrix on the monomial basis ``t^i xi^j`` (index ``i*p + j``).
+def _residual_layers(params: InstanceParameters, q: int) -> tuple[list, list]:
+    """The t-layers that the Adams residual at exponent ``q`` is built from.
 
-    Column ``(i, j)`` is the residual of ``t^i xi^j``, and one block of rows
-    per exponent ``q`` holds its coordinates.  The matrix is built by
-    linearity, with two normal-form calls per exponent instead of one per
-    monomial.  Multiplying by ``xi^j`` commutes with the normal form (``xi``
-    is a unit and the form is unique), so it only rotates ``xi`` exponents;
-    and ``NF(t * f) = NF(t * NF(f))`` reduces one layer, so the forms of
-    ``t^a`` and ``t^i * multiplier`` follow each from the previous one.
+    Returns ``(powers, products)``: ``powers[n]`` holds the layers of
+    ``NF(t^n)`` for ``n <= max(q*(M-1), M)`` and ``products[i]`` those of
+    ``NF(t^i * multiplier)`` for ``i < M``, with ``M`` the truncation total.
+    The residual of ``t^i xi^j`` then has coordinate
+
+        ``powers[q*i][a][(b - q*j) % p] - q^l * products[i][a][(b - j) % p]``
+
+    at ``t^a xi^b``: multiplying by ``xi^j`` commutes with the normal form
+    (``xi`` is a unit and the form is unique), so it only rotates ``xi``
+    exponents.  ``NF(t * f) = NF(t * NF(f))`` reduces one layer, so each
+    form follows from the previous one, with two normal-form calls in all.
     """
     p = params.p
     ideal = params.truncation()
@@ -426,15 +433,27 @@ def _constraint_rows(params: InstanceParameters, qs: tuple[int, ...]) -> list[li
         return out
 
     powers = [_layers(RepRingElement.one(p), total)]
-    while len(powers) <= max(qs) * (total - 1):
+    while len(powers) <= max(q * (total - 1), total):
         powers.append(times_t(powers[-1]))
+    products = [_layers(normal_form(adams_multiplier(params, q), ideal), total)]
+    while len(products) < total:
+        products.append(times_t(products[-1]))
+    return powers, products
 
+
+def _constraint_rows(params: InstanceParameters, qs: tuple[int, ...]) -> list[list[int]]:
+    """The Adams constraint matrix on the monomial basis ``t^i xi^j`` (index ``i*p + j``).
+
+    Column ``(i, j)`` is the residual of ``t^i xi^j``, and one block of rows
+    per exponent ``q`` holds its coordinates, read off
+    :func:`_residual_layers`.
+    """
+    p = params.p
+    total = params.truncation().total
     rows: list[list[int]] = []
     for q in qs:
         scale = q ** params.l
-        products = [_layers(normal_form(adams_multiplier(params, q), ideal), total)]
-        while len(products) < total:
-            products.append(times_t(products[-1]))
+        powers, products = _residual_layers(params, q)
         for a in range(total):
             for b in range(p):
                 row: list[int] = []
@@ -443,6 +462,226 @@ def _constraint_rows(params: InstanceParameters, qs: tuple[int, ...]) -> list[li
                     row.extend(power[(b - q * j) % p] - scale * product[(b - j) % p] for j in range(p))
                 rows.append(row)
     return rows
+
+
+def _residual(params: InstanceParameters, q: int, layers, x: list[int]) -> list[list[int]]:
+    """Layers of the residual of the element with coordinates ``x`` (index ``i*p + j``).
+
+    The product of the constraint matrix with ``x``, without forming the
+    matrix: the residual's layer ``a`` is the group-ring sum over ``i`` of
+    ``NF(t^(q*i))_a * psi^q(x_i) - q^l NF(t^i * multiplier)_a * x_i``, with
+    ``x_i`` the ``i``-th layer of ``x``.  Each group-ring element is packed
+    into one integer, its coefficients ``2^bits`` apart (Kronecker
+    substitution), so that a product is one integer multiplication; ``bits``
+    leaves room for every coefficient of the sum, which is unpacked in
+    balanced digits and folded by ``xi^p = 1``.
+    """
+    p, scale = params.p, q ** params.l
+    powers, products = layers
+    used = [i for i in range(len(products)) if any(x[i * p:(i + 1) * p])]
+    width = max((max(map(abs, row)) for i in used for row in powers[q * i] + products[i]), default=0)
+    bits = (len(products) * p * p * max(map(abs, x)) * (1 + scale) * width).bit_length() + 2
+
+    def pack(coeffs) -> int:
+        return sum(c << (bits * j) for j, c in enumerate(coeffs))
+
+    terms = []
+    for i in used:
+        layer = x[i * p:(i + 1) * p]
+        moved = [0] * p
+        for j, v in enumerate(layer):
+            moved[q * j % p] += v
+        terms.append((powers[q * i], pack(moved), products[i], scale * pack(layer)))
+    out = []
+    for a in range(len(products)):
+        packed = sum(pack(power[a]) * m - pack(product[a]) * v for power, m, product, v in terms)
+        digits = []
+        for _ in range(2 * p - 1):
+            d = packed & ((1 << bits) - 1)
+            d -= (d >> (bits - 1)) << bits
+            digits.append(d)
+            packed = (packed - d) >> bits
+        out.append([u + v for u, v in zip(digits, digits[p:] + [0])])
+    return out
+
+
+# -- exact kernel rank by characters of Z/p -----------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _fourier_prime(p: int, index: int) -> int:
+    """The ``index``-th prime ``ell = 1 (mod 2p)`` above 2^61."""
+    ell = _fourier_prime(p, index - 1) if index else 2**61 // (2 * p) * (2 * p) + 1
+    ell += 2 * p
+    while not is_odd_prime(ell):
+        ell += 2 * p
+    return ell
+
+
+def _fourier_primes(p: int):
+    """The primes ``ell = 1 (mod 2p)`` above 2^61 in increasing order, found lazily."""
+    return (_fourier_prime(p, index) for index in itertools.count())
+
+
+def _root_of_unity(p: int, ell: int) -> int:
+    """A primitive ``p``-th root of unity modulo the prime ``ell = 1 (mod p)``."""
+    return next(w for w in (pow(g, (ell - 1) // p, ell) for g in itertools.count(2)) if w != 1)
+
+
+def _character_kernel(params: InstanceParameters, q: int, layers, ell: int) -> list[list[int]]:
+    """Kernel of the Adams matrix modulo ``ell`` off the trivial character, on monomials.
+
+    With ``w`` a primitive ``p``-th root of unity modulo ``ell``, write
+    ``x[i*p + j] = sum_c y_c[i] w^(c*j)`` and read ``y_c`` as a polynomial
+    in ``t``.  Setting ``xi = w^(-r)`` takes the quotient ring to
+    ``R_r = F_ell[t]/(G_r)``, ``G_r`` the ideal's generator there, and the
+    constraint at character ``r`` becomes
+
+        ``y_(q*r)(t^q) = q^l mu_r y_r``  in ``R_r``,
+
+    ``mu_r`` the multiplier there: so character ``r`` meets only ``r`` and
+    ``q*r``, and the matrix splits into blocks along the orbits of
+    ``r -> q*r``.  All of ``R_r`` is known from two normal forms at
+    ``xi = w^(-r)``, that of ``t^M`` (which gives multiplication by ``t``)
+    and that of the multiplier.
+
+    When ``p`` does not divide ``q``, ``mu_r`` and ``G_r`` share no root, so
+    ``mu_r`` is a unit of ``R_r``.  An orbit ``r_0, ..., r_(f-1)`` of a
+    nonzero character then has ``y_(r_k) = S_k y_(r_(k+1))``, with ``S_k``
+    the matrix of ``y -> y(t^q) / (q^l mu_(r_k))``, and its kernel is that of
+    ``q^l mu_(r_0) - P S_1 ... S_(f-1)``, ``P`` the matrix of ``y -> y(t^q)``
+    in ``R_(r_0)``, carried round the orbit: ``f - 1`` products of size M
+    and one elimination of size M, instead of one of size ``f*M``.  The trivial character is left to the caller.  When ``p``
+    divides ``q`` every character meets the trivial one, and all of them
+    form one block, eliminated whole.
+    """
+    p, scale = params.p, pow(q, params.l, ell)
+    powers, products = layers
+    total = len(products)
+    w = _root_of_unity(p, ell)
+    w_powers = [pow(w, k, ell) for k in range(p)]
+    unit = [1] + [0] * (total - 1)
+
+    def ring(r: int) -> tuple[list[int], list[int]]:
+        """``t^M`` and the multiplier in ``R_r``."""
+        twiddle = [w_powers[-r * u % p] for u in range(p)]
+        return tuple([sum(map(mul, layer, twiddle)) % ell for layer in form] for form in (powers[total], products[0]))
+
+    def columns(first: list[int], step: int, top: list[int]) -> list[list[int]]:
+        """The matrix with columns ``first * t^(step*i)`` in ``R_r``, ``i < M``; ``top`` is ``t^M``."""
+        cols = [first]
+        while len(cols) < total:
+            c = cols[-1]
+            for _ in range(step):
+                c = [(u + c[-1] * v) % ell for u, v in zip([0] + c[:-1], top)]
+            cols.append(c)
+        return [list(row) for row in zip(*cols)]
+
+    def scaled(c: int) -> tuple[list[list[int]], list[list[int]]]:
+        """The matrices of ``y -> q^l mu_c y`` and ``y -> y(t^q)`` in ``R_c``."""
+        top, mu = ring(c)
+        return columns([scale * v % ell for v in mu], 1, top), columns(unit, q, top)
+
+    def step(c: int) -> list[list[int]]:
+        """The matrix of ``y -> y(t^q) / (q^l mu_c)`` in ``R_c``: columns ``t^(q*i) / (q^l mu_c)``."""
+        top, mu = ring(c)
+        return columns(poly_inverse_mod([scale * v for v in mu], [-v for v in top] + [1], ell), q, top)
+
+    blocks: list[dict[int, list[int]]] = []
+    if q % p:
+        seen = {0}
+        for r in range(1, p):
+            if r in seen:
+                continue
+            orbit = [r]
+            while q * orbit[-1] % p != r:
+                orbit.append(q * orbit[-1] % p)
+            seen.update(orbit)
+            steps = [step(c) for c in orbit[1:]]
+            own, carried = scaled(r)
+            for s in steps:
+                carried = matmul_mod(carried, s, ell)
+            for y in kernel_mod([[u - v for u, v in zip(a, b)] for a, b in zip(own, carried)], ell):
+                block = {r: y}
+                for c, s in zip(orbit[:0:-1], steps[::-1]):
+                    y = [sum(map(mul, row, y)) % ell for row in s]
+                    block[c] = y
+                blocks.append(block)
+    else:
+        rows = []
+        for r in range(p):
+            own, moved = scaled(r)
+            for a in range(total):
+                row = [0] * (p * total)
+                row[r * total:(r + 1) * total] = [-v for v in own[a]]
+                row[:total] = [u + v for u, v in zip(row[:total], moved[a])]
+                rows.append(row)
+        for y in kernel_mod(rows, ell):
+            blocks.append({c: y[c * total:(c + 1) * total] for c in range(p)})
+
+    out = []
+    for block in blocks:
+        waves = [[w_powers[c * j % p] for c in block] for j in range(p)]
+        out.append([sum(map(mul, row, wave)) % ell for row in zip(*block.values()) for wave in waves])
+    return out
+
+
+def adams_kernel_rank(params: InstanceParameters, q: int, sigma_probe: list[int]) -> tuple[int, bool]:
+    """Exact rank of the Adams kernel at exponent ``q``, and whether ``sigma * probe`` lies in it.
+
+    ``sigma_probe`` lists the ``t``-coefficients of ``probe`` (one per
+    ``t``-power below the truncation total), and ``sigma * probe`` has
+    coefficient ``probe[i]`` at every ``t^i xi^j``.  This gives the rank of
+    the lattice :func:`solve_adams_kernel` returns, without the lattice, and
+    without forming the constraint matrix: the matrix splits by characters
+    of ``Z/p`` (see :func:`_character_kernel`).
+
+    * When ``p`` does not divide ``q`` the trivial character is a block of
+      its own, the ``M x M`` integer matrix ``T[a][i] = sum_b
+      powers[q*i][a][b] - q^l sum_b products[i][a][b]``.  Its kernel is
+      taken exactly over Z, and ``sigma * probe``, which lives in that
+      character, lies in the kernel exactly when ``T @ probe = 0``.
+    * The other blocks are eliminated modulo a prime ``ell = 1 (mod p)``,
+      which bounds their nullity from above.  When the bound is not 0 the
+      kernel modulo ``ell`` is carried back to the monomials and lifted to
+      rationals by :func:`~equispin.intlinalg.certified_kernel`, over as many
+      such primes as it takes; each lifted vector is checked exactly against
+      the residual, and against having no trivial-character part.
+    """
+    p, total = params.p, params.truncation().total
+    scale = q ** params.l
+    layers = _residual_layers(params, q)
+    powers, products = layers
+    if q % p:
+        trivial = [
+            [sum(powers[q * i][a]) - scale * sum(products[i][a]) for i in range(total)]
+            for a in range(total)
+        ]
+        rank = len(integer_kernel(trivial))
+        contains = not any(sum(map(mul, row, sigma_probe)) for row in trivial)
+    else:
+        rank = 0
+        probe = [c for c in sigma_probe for _ in range(p)]
+        contains = not any(map(any, _residual(params, q, layers, probe)))
+
+    def is_kernel_vector(x: list[int]) -> bool:
+        if q % p and any(sum(x[i * p:(i + 1) * p]) for i in range(total)):
+            return False
+        return not any(map(any, _residual(params, q, layers, x)))
+
+    # Each entry of the kernel's echelon form is a ratio of minors of the
+    # matrix (with the sums over xi below it), under 2^bits by Hadamard's
+    # bound.  Primes near 2^61 whose product passes 2^(2 bits + 1) then
+    # reconstruct it, and at most 2 bits / 61 primes divide the two minors
+    # whose vanishing spoils a prime, so the supply below always suffices.
+    n = p * total
+    width = max(max(map(abs, row)) for i in range(total) for row in powers[q * i] + products[i])
+    bits = n * ((n * ((1 + scale) * width) ** 2).bit_length() // 2 + 1)
+    lifted = certified_kernel(
+        lambda ell: _character_kernel(params, q, layers, ell),
+        is_kernel_vector,
+        itertools.islice(_fourier_primes(p), 4 * bits // 61 + 3),
+    )
+    return rank + len(lifted), contains
 
 
 def solve_adams_kernel(params: InstanceParameters, q=2) -> list[RepRingElement]:

@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, IntPolynomial
 from .dataset import FixedPointDataset, ManifoldInvariants, count_p3_types
-from .intlinalg import integer_kernel
 from .lefschetz import (
     KVector,
     NonIntegralDefectError,
@@ -40,7 +39,7 @@ from .lefschetz import (
     spin_number_tuple,
     synthesize_spins,
 )
-from .repring import InstanceParameters, _constraint_rows
+from .repring import InstanceParameters, adams_kernel_rank
 
 CONTRADICTION = "Contradiction"
 CONSTRAINT_VIOLATION = "ConstraintViolation"
@@ -275,31 +274,26 @@ def _scalar_constraint_poly(p: int, k_total: int, l: int) -> IntPolynomial:
     return p * ones ** (k_total - 1) - IntPolynomial((p ** (l + 1),))
 
 
-def _candidate_vector(p: int, total: int) -> list[int]:
-    """``sigma (1-t)^(total-1)`` on the monomials ``t^i xi^j`` (index ``i*p + j``).
-
-    Its coefficient at ``t^i xi^j`` is ``(-1)^i C(total-1, i)`` for every ``j``.
-    """
-    return [(-1) ** i * math.comb(total - 1, i) for i in range(total) for _ in range(p)]
-
-
-def _annihilates(rows: list[list[int]], vector: list[int]) -> bool:
-    """Whether every row of the matrix has dot product 0 with ``vector``."""
-    return not any(sum(a * b for a, b in zip(row, vector)) for row in rows)
-
-
 def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingReport:
     """Run the full vanishing verification on one parameter set.
 
-    Steps: check the hypotheses (``k_0 <= l`` and equal tail defects); build
-    the Adams constraint matrix at exponent ``q`` and take its saturated
-    integer kernel; write the predicted generator ``sigma (1-t)^(M-1)`` as an
-    integer vector and test that every row annihilates it (the residual is
-    linear and its normal form unique, so this is
-    ``adams_constraint_residual(...).is_zero()``) and, when the rank is 1,
-    that it spans the kernel up to sign; then run the top-exponent
-    specialization that forces the remaining integer scalar to vanish, which
-    pins the Seiberg-Witten integer of the trivial spin-c structure to 0.
+    Steps: check the hypotheses (``k_0 <= l`` and equal tail defects); take
+    the exact rank of the Adams kernel at exponent ``q`` character block by
+    character block (:func:`~equispin.repring.adams_kernel_rank`), without
+    the kernel lattice itself.  The trivial character's block is solved over
+    Z; every other block is bounded modulo a prime, and a nonzero bound is
+    certified by lifting its kernel to rationals and checking each vector
+    exactly.  The predicted generator ``sigma (1-t)^(M-1)`` lives in the
+    trivial character, so it lies in the kernel exactly when that block
+    annihilates its ``t``-coefficients (the residual is linear and its normal
+    form unique, so this is ``adams_constraint_residual(...).is_zero()``); it
+    is primitive, so it spans the kernel exactly when it lies in it and the
+    rank is 1.  Then run the top-exponent specialization that forces the
+    remaining integer scalar to vanish, which pins the Seiberg-Witten integer
+    of the trivial spin-c structure to 0.
+
+    The Hermite basis of the kernel is still
+    :func:`~equispin.repring.solve_adams_kernel`.
     """
     k = params.k_vector
     l = params.l
@@ -313,26 +307,26 @@ def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingRepo
         )
     if q < 1:
         raise ValueError("Adams exponents must be positive integers")
-    p = params.p
-    expected = _candidate_vector(p, params.truncation().total)
+    total = params.truncation().total
+    # sigma (1-t)^(M-1) has coefficient (-1)^i C(M-1, i) at every t^i xi^j
+    candidate = [(-1) ** i * math.comb(total - 1, i) for i in range(total)]
+    rank, contains = adams_kernel_rank(params, q, candidate)
+    # the candidate's coefficient at t^0 is 1, so it is primitive: it spans
+    # the saturated kernel exactly when it lies in a kernel of rank 1
+    spanned = rank == 1 and contains
 
-    rows = _constraint_rows(params, (q,))
-    kernel = integer_kernel(rows)
-    contains = _annihilates(rows, expected)
-    spanned = kernel in ([expected], [[-v for v in expected]])
-
-    residual = _scalar_constraint_poly(p, sum(k), l)
+    residual = _scalar_constraint_poly(params.p, sum(k), l)
     forced = not residual.is_zero()
     return VanishingReport(
         hypotheses_met=True,
         detail=(
-            f"kernel rank {len(kernel)}; candidate generator "
+            f"kernel rank {rank}; candidate generator "
             f"{'spans' if spanned else ('lies in' if contains else 'MISSES')} the kernel; "
             f"scalar {'forced to zero' if forced else 'not forced'} by the "
             "top-exponent specialization"
         ),
         q=q,
-        kernel_rank=len(kernel),
+        kernel_rank=rank,
         kernel_contains_expected=contains,
         kernel_spanned_by_expected=spanned,
         scalar_forced_zero=forced,

@@ -6,10 +6,14 @@ construction, but its entries grow without bound.  ``hermite_form``
 canonicalises any basis of a lattice by a Euclidean row reduction that shares
 no code with the program's, so two bases span the same lattice exactly when
 their forms are equal.  ``normal_form_constraint_rows`` builds the Adams
-constraint matrix with one ``normal_form`` call per basis monomial.
+constraint matrix with one ``normal_form`` call per basis monomial;
+``candidate_vector`` and ``annihilates`` test the vanishing check's candidate
+against a full matrix.
 """
 
 from __future__ import annotations
+
+import math
 
 from equispin.intlinalg import extended_gcd
 from equispin.repring import (
@@ -133,3 +137,16 @@ def normal_form_constraint_rows(params: InstanceParameters, qs) -> list[list[int
             col.extend(coords)
         columns.append(col)
     return [list(row) for row in zip(*columns)]
+
+
+def candidate_vector(p: int, total: int) -> list[int]:
+    """``sigma (1-t)^(total-1)`` on the monomials ``t^i xi^j`` (index ``i*p + j``).
+
+    Its coefficient at ``t^i xi^j`` is ``(-1)^i C(total-1, i)`` for every ``j``.
+    """
+    return [(-1) ** i * math.comb(total - 1, i) for i in range(total) for _ in range(p)]
+
+
+def annihilates(rows: list[list[int]], vector: list[int]) -> bool:
+    """Whether every row of the matrix has dot product 0 with ``vector``."""
+    return not any(sum(a * b for a, b in zip(row, vector)) for row in rows)

@@ -43,6 +43,7 @@ from equispin.rigidity import (
 )
 
 from conftest import engineered_trivial_datasets, random_dataset
+from oracles import annihilates, candidate_vector
 
 K3 = ManifoldInvariants.k3()
 
@@ -171,13 +172,13 @@ class TestCandidateMembership:
             one_minus_t = RepRingElement.one(p) - RepRingElement.t(p)
             for total in range(1, 9):
                 want = RepRingElement.sigma(p) * one_minus_t ** (total - 1)
-                assert _element(p, rigidity._candidate_vector(p, total)) == want, (p, total)
+                assert _element(p, candidate_vector(p, total)) == want, (p, total)
 
     def test_matrix_membership_matches_residual(self):
         rng = random.Random(113)
         for params in self.INSTANCES:
             p, total = params.p, params.truncation().total
-            expected = rigidity._candidate_vector(p, total)
+            expected = candidate_vector(p, total)
             for q in (2, 3):
                 rows = _constraint_rows(params, (q,))
                 kernel = integer_kernel(rows)
@@ -186,30 +187,32 @@ class TestCandidateMembership:
                 probes += [[rng.randint(-2, 2) for _ in expected] for _ in range(2)]
                 for vec in probes:
                     want = adams_constraint_residual(_element(p, vec), params, q).is_zero()
-                    assert rigidity._annihilates(rows, vec) == want, (params, q, vec)
-                assert rigidity._annihilates(rows, expected)
+                    assert annihilates(rows, vec) == want, (params, q, vec)
+                assert annihilates(rows, expected)
 
     def test_perturbed_candidate_is_rejected(self):
         for params in self.INSTANCES:
             p, total = params.p, params.truncation().total
             rows = _constraint_rows(params, (2,))
             for r in (0, p * total // 2, p * total - 1):
-                vec = rigidity._candidate_vector(p, total)
+                vec = candidate_vector(p, total)
                 vec[r] += 1
-                assert not rigidity._annihilates(rows, vec), (params, r)
+                assert not annihilates(rows, vec), (params, r)
                 assert not adams_constraint_residual(_element(p, vec), params, 2).is_zero()
 
 
 class TestVanishingCache:
     @staticmethod
     def _count_kernels(monkeypatch) -> list[int]:
+        """Record the Adams dimension of every rank computation the check runs."""
         calls = []
+        rank = rigidity.adams_kernel_rank
 
-        def counted(rows):
-            calls.append(len(rows[0]))
-            return integer_kernel(rows)
+        def counted(params, q, probe):
+            calls.append(params.p * params.truncation().total)
+            return rank(params, q, probe)
 
-        monkeypatch.setattr(rigidity, "integer_kernel", counted)
+        monkeypatch.setattr(rigidity, "adams_kernel_rank", counted)
         return calls
 
     def test_shared_defect_vector_runs_kernel_once(self, monkeypatch):
