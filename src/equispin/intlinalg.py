@@ -203,17 +203,36 @@ def _echelon_mod(rows: list[list[int]], ell: int) -> tuple[list[int], list[list[
 def kernel_mod(rows: list[list[int]], ell: int) -> list[list[int]]:
     """Basis of ``{x : A @ x = 0}`` over the field of ``ell`` elements, ``ell`` prime.
 
-    One vector per free column of the echelon form: 1 there, 0 at the other
-    free columns, so the basis is determined by the kernel.
+    One vector per free column: 1 there, 0 at the other free columns, so the
+    basis is determined by the kernel.  Forward elimination comes first, and
+    each pivot row is dropped with its column, so nothing above a pivot is
+    touched; a matrix with no free column returns ``[]`` there, and only a
+    singular one is solved back for its kernel.
     """
-    pivots, reduced = _echelon_mod(rows, ell)
-    free = sorted(set(range(len(rows[0]))) - set(pivots))
+    ncols = len(rows[0])
+    rows = [[v % ell for v in r] for r in rows]
+    pivots: list[int] = []
+    tails: list[list[int]] = []
+    for col in range(ncols):
+        # each row of ``rows`` is its suffix from ``col`` on; the prefix is 0
+        k = next((k for k, r in enumerate(rows) if r[0]), None)
+        if k is None:
+            rows = [r[1:] for r in rows]
+            continue
+        head = rows.pop(k)
+        inv = pow(head[0], -1, ell)
+        tail = [v * inv % ell for v in head[1:]]
+        rows = [[(u - r[0] * v) % ell for u, v in zip(r[1:], tail)] if r[0] else r[1:] for r in rows]
+        pivots.append(col)
+        tails.append(tail)
+    taken = set(pivots)
     basis = []
-    for f in free:
-        vec = [0] * len(rows[0])
+    for f in (c for c in range(ncols) if c not in taken):
+        vec = [0] * ncols
         vec[f] = 1
-        for col, row in zip(pivots, reduced):
-            vec[col] = -row[f] % ell
+        for col, tail in zip(reversed(pivots), reversed(tails)):
+            if col < f:
+                vec[col] = -sum(map(mul, tail, vec[col + 1:])) % ell
         basis.append(vec)
     return basis
 
@@ -289,13 +308,15 @@ def _lift(residues: list[int], modulus: int) -> list[int] | None:
     return [f.numerator * (den // f.denominator) for f in fracs]
 
 
-def certified_kernel(residue_kernel, is_kernel_vector, primes) -> list[list[int]]:
+def certified_kernel(residue_kernel, in_kernel, primes) -> list[list[int]]:
     """A basis, over Q, of an integer kernel known through its reductions modulo primes.
 
     ``residue_kernel(ell)`` spans the kernel's image modulo the prime ``ell``,
     which contains the reduction of the kernel over Q, so its dimension is an
-    upper bound.  ``is_kernel_vector(x)`` decides exactly whether an integer
-    vector lies in the kernel.  Primes are drawn from ``primes`` in turn:
+    upper bound.  ``in_kernel(vectors)`` decides exactly whether every
+    integer vector of a list lies in the kernel; it sees all the vectors of
+    one lift at once, so that their check can share its set-up.  Primes are
+    drawn from ``primes`` in turn:
 
     * each kernel modulo ``ell`` is put in reduced echelon form, and its key
       (dimension, pivot columns) compared with the least key seen.  A larger
@@ -303,7 +324,7 @@ def certified_kernel(residue_kernel, is_kernel_vector, primes) -> list[list[int]
       dropped, and the prime is skipped; a smaller one restarts the lift;
     * the echelon forms of the primes of the least key are joined by Chinese
       remaindering, and each entry is reconstructed as a rational;
-    * when every reconstructed vector passes ``is_kernel_vector``, the
+    * when the reconstructed vectors pass ``in_kernel``, the
       vectors are independent (one pivot each) and as many as the upper
       bound, so they span the kernel.  Otherwise the next prime is drawn.
 
@@ -334,6 +355,6 @@ def certified_kernel(residue_kernel, is_kernel_vector, primes) -> list[list[int]
                 break
             vectors.append(vec)
         else:
-            if all(map(is_kernel_vector, vectors)):
+            if in_kernel(vectors):
                 return vectors
     raise RuntimeError("prime supply exhausted before the kernel was certified")

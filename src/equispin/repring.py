@@ -393,12 +393,10 @@ def adams_constraint_residual(
     return normal_form(beta.adams(q) - (q ** params.l) * beta * multiplier, ideal)
 
 
-def _layers(element: RepRingElement, total: int) -> list[list[int]]:
-    """Coefficients of a normal form, one list over ``xi`` powers per ``t`` power."""
-    layers = [[0] * element.p for _ in range(total)]
-    for (i, j), c in element._c.items():
-        layers[i][j] = c
-    return layers
+def _rotated(row: list[int], shift: int) -> list[int]:
+    """The group-ring element ``row`` times ``xi^shift``: entry ``j`` moves to ``j + shift``."""
+    cut = -shift % len(row)
+    return row[cut:] + row[:cut]
 
 
 def _residual_layers(params: InstanceParameters, q: int) -> tuple[list, list]:
@@ -406,21 +404,33 @@ def _residual_layers(params: InstanceParameters, q: int) -> tuple[list, list]:
 
     Returns ``(powers, products)``: ``powers[n]`` holds the layers of
     ``NF(t^n)`` for ``n <= max(q*(M-1), M)`` and ``products[i]`` those of
-    ``NF(t^i * multiplier)`` for ``i < M``, with ``M`` the truncation total.
-    The residual of ``t^i xi^j`` then has coordinate
+    ``NF(t^i * multiplier)`` for ``i < M``, with ``M`` the truncation total,
+    one list over ``xi`` powers per ``t`` power.  The residual of
+    ``t^i xi^j`` then has coordinate
 
         ``powers[q*i][a][(b - q*j) % p] - q^l * products[i][a][(b - j) % p]``
 
     at ``t^a xi^b``: multiplying by ``xi^j`` commutes with the normal form
     (``xi`` is a unit and the form is unique), so it only rotates ``xi``
-    exponents.  ``NF(t * f) = NF(t * NF(f))`` reduces one layer, so each
-    form follows from the previous one, with two normal-form calls in all.
+    exponents.  Everything follows from the generator's layers: its top
+    layer is the unit ``(-1)^M xi^s``, which gives ``NF(t^M)``, and
+    ``NF(t * f) = NF(t * NF(f))`` reduces one layer, so each form follows
+    from the previous one; the multiplier's form is built factor by factor
+    by Horner's rule, ``f (1 + x + ... + x^(q-1)) = f + x (f + x (...))``
+    with ``x = t xi^i``.
     """
     p = params.p
-    ideal = params.truncation()
-    total = ideal.total
-    # NF(t^total * xi^b) is NF(t^total) rotated by b
-    overflow = _layers(normal_form(RepRingElement.monomial(p, total), ideal), total)
+    m_vector = params.truncation().m_vector
+    total = sum(m_vector)
+    generator = [[1] + [0] * (p - 1)]
+    for i, m in enumerate(m_vector):
+        for _ in range(m):
+            shifted = [[0] * p] + [_rotated(row, i) for row in generator]
+            generator = [[u - v for u, v in zip(row, moved)] for row, moved in zip(generator + [[0] * p], shifted)]
+    s = sum(i * m for i, m in enumerate(m_vector)) % p
+    # t^M = -(-1)^M xi^(-s) (generator - (-1)^M xi^s t^M)
+    sign = (-1) ** (total + 1)
+    overflow = [[sign * c for c in _rotated(row, -s)] for row in generator[:total]]
 
     def times_t(layers: list[list[int]]) -> list[list[int]]:
         out = [[0] * p] + layers[:-1]
@@ -432,13 +442,30 @@ def _residual_layers(params: InstanceParameters, q: int) -> tuple[list, list]:
                 ]
         return out
 
-    powers = [_layers(RepRingElement.one(p), total)]
+    powers = [[[1] + [0] * (p - 1)] + [[0] * p for _ in range(total - 1)]]
     while len(powers) <= max(q * (total - 1), total):
         powers.append(times_t(powers[-1]))
-    products = [_layers(normal_form(adams_multiplier(params, q), ideal), total)]
+    product = powers[0]
+    for i, n in enumerate(params.n_vector):
+        for _ in range(n):
+            acc = product
+            for _ in range(q - 1):
+                acc = [[u + v for u, v in zip(row, _rotated(moved, i))] for row, moved in zip(product, times_t(acc))]
+            product = acc
+    products = [product]
     while len(products) < total:
         products.append(times_t(products[-1]))
     return powers, products
+
+
+def _constraint_row(p: int, q: int, scale: int, layers, a: int, b: int) -> list[int]:
+    """Row ``(a, b)`` of the Adams constraint matrix: the coordinate at ``t^a xi^b`` of each residual."""
+    powers, products = layers
+    row: list[int] = []
+    for i in range(len(products)):
+        power, product = powers[q * i][a], products[i][a]
+        row.extend(power[(b - q * j) % p] - scale * product[(b - j) % p] for j in range(p))
+    return row
 
 
 def _constraint_rows(params: InstanceParameters, qs: tuple[int, ...]) -> list[list[int]]:
@@ -452,56 +479,38 @@ def _constraint_rows(params: InstanceParameters, qs: tuple[int, ...]) -> list[li
     total = params.truncation().total
     rows: list[list[int]] = []
     for q in qs:
-        scale = q ** params.l
-        powers, products = _residual_layers(params, q)
-        for a in range(total):
-            for b in range(p):
-                row: list[int] = []
-                for i in range(total):
-                    power, product = powers[q * i][a], products[i][a]
-                    row.extend(power[(b - q * j) % p] - scale * product[(b - j) % p] for j in range(p))
-                rows.append(row)
+        layers = _residual_layers(params, q)
+        rows.extend(_constraint_row(p, q, q ** params.l, layers, a, b) for a in range(total) for b in range(p))
     return rows
 
 
-def _residual(params: InstanceParameters, q: int, layers, x: list[int]) -> list[list[int]]:
-    """Layers of the residual of the element with coordinates ``x`` (index ``i*p + j``).
+def _residual(params: InstanceParameters, q: int, layers, vectors: list[list[int]]) -> list[list[list[int]]]:
+    """Layers of the residual of each element with coordinates in ``vectors`` (index ``i*p + j``).
 
-    The product of the constraint matrix with ``x``, without forming the
-    matrix: the residual's layer ``a`` is the group-ring sum over ``i`` of
-    ``NF(t^(q*i))_a * psi^q(x_i) - q^l NF(t^i * multiplier)_a * x_i``, with
-    ``x_i`` the ``i``-th layer of ``x``.  Each group-ring element is packed
-    into one integer, its coefficients ``2^bits`` apart (Kronecker
-    substitution), so that a product is one integer multiplication; ``bits``
-    leaves room for every coefficient of the sum, which is unpacked in
-    balanced digits and folded by ``xi^p = 1``.
+    The product of the constraint matrix with every vector at once, one row
+    at a time, so the matrix is never held whole.  The vectors are packed
+    into one integer per coordinate, their entries ``2^bits`` apart
+    (Kronecker substitution), so that a row's products with all of them are
+    one sum of small-by-large integer products.  One ``bits`` leaves room for
+    every entry of every residual, which is unpacked in balanced digits.
     """
     p, scale = params.p, q ** params.l
     powers, products = layers
-    used = [i for i in range(len(products)) if any(x[i * p:(i + 1) * p])]
-    width = max((max(map(abs, row)) for i in used for row in powers[q * i] + products[i]), default=0)
-    bits = (len(products) * p * p * max(map(abs, x)) * (1 + scale) * width).bit_length() + 2
-
-    def pack(coeffs) -> int:
-        return sum(c << (bits * j) for j, c in enumerate(coeffs))
-
-    terms = []
-    for i in used:
-        layer = x[i * p:(i + 1) * p]
-        moved = [0] * p
-        for j, v in enumerate(layer):
-            moved[q * j % p] += v
-        terms.append((powers[q * i], pack(moved), products[i], scale * pack(layer)))
-    out = []
-    for a in range(len(products)):
-        packed = sum(pack(power[a]) * m - pack(product[a]) * v for power, m, product, v in terms)
-        digits = []
-        for _ in range(2 * p - 1):
-            d = packed & ((1 << bits) - 1)
-            d -= (d >> (bits - 1)) << bits
-            digits.append(d)
-            packed = (packed - d) >> bits
-        out.append([u + v for u, v in zip(digits, digits[p:] + [0])])
+    total = len(products)
+    width = max(max(map(abs, row)) for i in range(total) for row in powers[q * i] + products[i])
+    height = max((max(map(abs, x)) for x in vectors), default=0)
+    bits = (total * p * (1 + scale) * width * height).bit_length() + 2
+    packed = [sum(v << (bits * k) for k, v in enumerate(column)) for column in zip(*vectors)]
+    mask = (1 << bits) - 1
+    out = [[[0] * p for _ in range(total)] for _ in vectors]
+    for a in range(total):
+        for b in range(p):
+            entry = sum(map(mul, _constraint_row(p, q, scale, layers, a, b), packed))
+            for residual in out:
+                d = entry & mask
+                d -= (d >> (bits - 1)) << bits
+                residual[a][b] = d
+                entry = (entry - d) >> bits
     return out
 
 
@@ -527,22 +536,55 @@ def _root_of_unity(p: int, ell: int) -> int:
     return next(w for w in (pow(g, (ell - 1) // p, ell) for g in itertools.count(2)) if w != 1)
 
 
-def _character_kernel(params: InstanceParameters, q: int, layers, ell: int) -> list[list[int]]:
+def _character_ring(params: InstanceParameters, q: int, ell: int, xi: int) -> tuple[list[int], list[int]]:
+    """``t^M`` and the multiplier at exponent ``q`` in ``F_ell[t]/(G)``, with ``xi`` set to ``xi``.
+
+    ``G = prod_i (1 - t xi^i)^(m_i)``, ``m`` the truncation's exponents, and
+    ``M = deg G``; both are reduced below degree ``M`` and listed lowest
+    coefficient first.  They are built straight from ``(m, n)``: ``t^M =
+    -(g_0 + ... + g_(M-1) t^(M-1)) / g_M``, and the multiplier is the product
+    of the factors ``1 + x + ... + x^(q-1)``, ``x = xi^i t``, taken one at a
+    time by Horner's rule with ``t^M`` folded back in.  The evaluation
+    ``xi -> xi`` is a ring map that takes the ideal to ``(G)``, so this is
+    the normal form's image there.
+    """
+    m_vector = params.truncation().m_vector
+    xi_powers = [1]
+    for _ in range(params.p - 1):
+        xi_powers.append(xi_powers[-1] * xi % ell)
+    g = [1]
+    for c, m in zip(xi_powers, m_vector):
+        for _ in range(m):
+            g = [(u - c * v) % ell for u, v in zip(g + [0], [0] + g)]
+    lead = pow(g[-1], -1, ell)
+    top = [-v * lead % ell for v in g[:-1]]
+    mu = [1] + [0] * (len(top) - 1)
+    for c, n in zip(xi_powers, params.n_vector):
+        for _ in range(n):
+            acc = mu
+            for _ in range(q - 1):
+                carry = acc[-1]
+                acc = [(u + c * (v + carry * w)) % ell for u, v, w in zip(mu, [0] + acc[:-1], top)]
+            mu = acc
+    return top, mu
+
+
+def _character_kernel(params: InstanceParameters, q: int, ell: int) -> list[list[int]]:
     """Kernel of the Adams matrix modulo ``ell`` off the trivial character, on monomials.
 
     With ``w`` a primitive ``p``-th root of unity modulo ``ell``, write
     ``x[i*p + j] = sum_c y_c[i] w^(c*j)`` and read ``y_c`` as a polynomial
     in ``t``.  Setting ``xi = w^(-r)`` takes the quotient ring to
-    ``R_r = F_ell[t]/(G_r)``, ``G_r`` the ideal's generator there, and the
-    constraint at character ``r`` becomes
+    ``R_r = F_ell[t]/(G_r)``, ``G_r = prod_i (1 - t w^(-r*i))^(m_i)``, and
+    the constraint at character ``r`` becomes
 
         ``y_(q*r)(t^q) = q^l mu_r y_r``  in ``R_r``,
 
     ``mu_r`` the multiplier there: so character ``r`` meets only ``r`` and
     ``q*r``, and the matrix splits into blocks along the orbits of
-    ``r -> q*r``.  All of ``R_r`` is known from two normal forms at
-    ``xi = w^(-r)``, that of ``t^M`` (which gives multiplication by ``t``)
-    and that of the multiplier.
+    ``r -> q*r``.  All of ``R_r`` is known from ``t^M`` (which gives
+    multiplication by ``t``) and ``mu_r``, both built straight from
+    ``(m, n)`` by :func:`_character_ring`.
 
     When ``p`` does not divide ``q``, ``mu_r`` and ``G_r`` share no root, so
     ``mu_r`` is a unit of ``R_r``.  An orbit ``r_0, ..., r_(f-1)`` of a
@@ -550,21 +592,17 @@ def _character_kernel(params: InstanceParameters, q: int, layers, ell: int) -> l
     the matrix of ``y -> y(t^q) / (q^l mu_(r_k))``, and its kernel is that of
     ``q^l mu_(r_0) - P S_1 ... S_(f-1)``, ``P`` the matrix of ``y -> y(t^q)``
     in ``R_(r_0)``, carried round the orbit: ``f - 1`` products of size M
-    and one elimination of size M, instead of one of size ``f*M``.  The trivial character is left to the caller.  When ``p``
-    divides ``q`` every character meets the trivial one, and all of them
-    form one block, eliminated whole.
+    and one forward elimination of size M, instead of one of size ``f*M``;
+    only a singular block is solved back for its kernel.  The trivial
+    character is left to the caller.  When ``p`` divides ``q`` every
+    character meets the trivial one, and all of them form one block,
+    eliminated whole.
     """
     p, scale = params.p, pow(q, params.l, ell)
-    powers, products = layers
-    total = len(products)
+    total = params.truncation().total
     w = _root_of_unity(p, ell)
     w_powers = [pow(w, k, ell) for k in range(p)]
     unit = [1] + [0] * (total - 1)
-
-    def ring(r: int) -> tuple[list[int], list[int]]:
-        """``t^M`` and the multiplier in ``R_r``."""
-        twiddle = [w_powers[-r * u % p] for u in range(p)]
-        return tuple([sum(map(mul, layer, twiddle)) % ell for layer in form] for form in (powers[total], products[0]))
 
     def columns(first: list[int], step: int, top: list[int]) -> list[list[int]]:
         """The matrix with columns ``first * t^(step*i)`` in ``R_r``, ``i < M``; ``top`` is ``t^M``."""
@@ -578,12 +616,12 @@ def _character_kernel(params: InstanceParameters, q: int, layers, ell: int) -> l
 
     def scaled(c: int) -> tuple[list[list[int]], list[list[int]]]:
         """The matrices of ``y -> q^l mu_c y`` and ``y -> y(t^q)`` in ``R_c``."""
-        top, mu = ring(c)
+        top, mu = _character_ring(params, q, ell, w_powers[-c % p])
         return columns([scale * v % ell for v in mu], 1, top), columns(unit, q, top)
 
     def step(c: int) -> list[list[int]]:
         """The matrix of ``y -> y(t^q) / (q^l mu_c)`` in ``R_c``: columns ``t^(q*i) / (q^l mu_c)``."""
-        top, mu = ring(c)
+        top, mu = _character_ring(params, q, ell, w_powers[-c % p])
         return columns(poly_inverse_mod([scale * v for v in mu], [-v for v in top] + [1], ell), q, top)
 
     blocks: list[dict[int, list[int]]] = []
@@ -625,6 +663,25 @@ def _character_kernel(params: InstanceParameters, q: int, layers, ell: int) -> l
     return out
 
 
+def _trivial_block(total: int, q: int, probe: list[int]) -> tuple[int, bool]:
+    """Nullity of the trivial character's block, and whether it annihilates ``probe``.
+
+    At ``xi = 1`` the constraint is ``L(y) = y(t^q) - q^l mu y`` on
+    ``Z[t]/((1-t)^M)``, with ``mu = h^(sum n)`` and ``h = 1 + t + ... +
+    t^(q-1)``, and ``probe`` lists the ``t``-coefficients of ``y``.  In the
+    basis ``u^a``, ``u = 1 - t``, it is triangular: ``1 - t^q = u h`` gives
+    ``L(u^a) = u^a (h^a - q^l h^(sum n))``, and ``h = q`` at ``u = 0``, so the
+    diagonal is ``q^a - q^(l + sum n) = q^a - q^(M-1)``.  For ``q = 1`` the
+    map is 0.  For ``q >= 2`` only the last diagonal entry vanishes, so the
+    kernel over Q is the line of ``u^(M-1) = (1-t)^(M-1)``, which is
+    primitive (its coefficient at ``t^0`` is 1): nullity 1, and ``probe``
+    lies in the kernel exactly when it is ``probe[0]`` times that vector.
+    """
+    if q == 1:
+        return total, True
+    return 1, all(v == probe[0] * (-1) ** i * math.comb(total - 1, i) for i, v in enumerate(probe))
+
+
 def adams_kernel_rank(params: InstanceParameters, q: int, sigma_probe: list[int]) -> tuple[int, bool]:
     """Exact rank of the Adams kernel at exponent ``q``, and whether ``sigma * probe`` lies in it.
 
@@ -636,37 +693,48 @@ def adams_kernel_rank(params: InstanceParameters, q: int, sigma_probe: list[int]
     of ``Z/p`` (see :func:`_character_kernel`).
 
     * When ``p`` does not divide ``q`` the trivial character is a block of
-      its own, the ``M x M`` integer matrix ``T[a][i] = sum_b
-      powers[q*i][a][b] - q^l sum_b products[i][a][b]``.  Its kernel is
-      taken exactly over Z, and ``sigma * probe``, which lives in that
-      character, lies in the kernel exactly when ``T @ probe = 0``.
-    * The other blocks are eliminated modulo a prime ``ell = 1 (mod p)``,
-      which bounds their nullity from above.  When the bound is not 0 the
-      kernel modulo ``ell`` is carried back to the monomials and lifted to
-      rationals by :func:`~equispin.intlinalg.certified_kernel`, over as many
-      such primes as it takes; each lifted vector is checked exactly against
-      the residual, and against having no trivial-character part.
+      its own, triangular in the basis ``(1-t)^a``, and its nullity (1, or
+      ``M`` at ``q = 1``) is read off its diagonal (:func:`_trivial_block`).
+      ``sigma * probe`` lives in that character, so its membership is
+      decided there too.
+    * The other characters are built straight from ``(m, n)`` over a prime
+      ``ell = 1 (mod 2p)`` (:func:`_character_ring`), and each orbit block is
+      eliminated modulo ``ell``, which bounds its nullity from above.  A
+      bound of 0 decides the rank; when ``p`` divides ``q`` every character
+      is in that one block, and a kernel of 0 holds no nonzero
+      ``sigma * probe``.
+    * Only a nonzero bound builds the residual layers
+      (:func:`_residual_layers`).  The kernel modulo ``ell`` is carried back
+      to the monomials and lifted to rationals by
+      :func:`~equispin.intlinalg.certified_kernel`, over as many such primes
+      as it takes and at most as many as Hadamard's bound calls for; the
+      lifted vectors are checked exactly against the residual, and against
+      having a trivial-character part.  When ``p`` divides ``q`` the
+      membership of ``sigma * probe`` is checked against the residual too.
     """
     p, total = params.p, params.truncation().total
-    scale = q ** params.l
+    first = _fourier_prime(p, 0)
+    kernel = _character_kernel(params, q, first)
+    if q % p:
+        rank, contains = _trivial_block(total, q, sigma_probe)
+        if not kernel:
+            return rank, contains
+    elif not kernel:
+        # the block held every character, and a kernel of 0 holds no nonzero element
+        return 0, not any(sigma_probe)
+
     layers = _residual_layers(params, q)
     powers, products = layers
-    if q % p:
-        trivial = [
-            [sum(powers[q * i][a]) - scale * sum(products[i][a]) for i in range(total)]
-            for a in range(total)
-        ]
-        rank = len(integer_kernel(trivial))
-        contains = not any(sum(map(mul, row, sigma_probe)) for row in trivial)
-    else:
+    scale = q ** params.l
+    if not q % p:
         rank = 0
         probe = [c for c in sigma_probe for _ in range(p)]
-        contains = not any(map(any, _residual(params, q, layers, probe)))
+        contains = not any(map(any, _residual(params, q, layers, [probe])[0]))
 
-    def is_kernel_vector(x: list[int]) -> bool:
-        if q % p and any(sum(x[i * p:(i + 1) * p]) for i in range(total)):
+    def in_kernel(vectors: list[list[int]]) -> bool:
+        if q % p and any(sum(x[i * p:(i + 1) * p]) for x in vectors for i in range(total)):
             return False
-        return not any(map(any, _residual(params, q, layers, x)))
+        return not any(any(map(any, residual)) for residual in _residual(params, q, layers, vectors))
 
     # Each entry of the kernel's echelon form is a ratio of minors of the
     # matrix (with the sums over xi below it), under 2^bits by Hadamard's
@@ -677,8 +745,8 @@ def adams_kernel_rank(params: InstanceParameters, q: int, sigma_probe: list[int]
     width = max(max(map(abs, row)) for i in range(total) for row in powers[q * i] + products[i])
     bits = n * ((n * ((1 + scale) * width) ** 2).bit_length() // 2 + 1)
     lifted = certified_kernel(
-        lambda ell: _character_kernel(params, q, layers, ell),
-        is_kernel_vector,
+        lambda ell: kernel if ell == first else _character_kernel(params, q, ell),
+        in_kernel,
         itertools.islice(_fourier_primes(p), 4 * bits // 61 + 3),
     )
     return rank + len(lifted), contains

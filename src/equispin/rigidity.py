@@ -280,14 +280,15 @@ def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingRepo
     Steps: check the hypotheses (``k_0 <= l`` and equal tail defects); take
     the exact rank of the Adams kernel at exponent ``q`` character block by
     character block (:func:`~equispin.repring.adams_kernel_rank`), without
-    the kernel lattice itself.  The trivial character's block is solved over
-    Z; every other block is bounded modulo a prime, and a nonzero bound is
-    certified by lifting its kernel to rationals and checking each vector
-    exactly.  The predicted generator ``sigma (1-t)^(M-1)`` lives in the
-    trivial character, so it lies in the kernel exactly when that block
-    annihilates its ``t``-coefficients (the residual is linear and its normal
-    form unique, so this is ``adams_constraint_residual(...).is_zero()``); it
-    is primitive, so it spans the kernel exactly when it lies in it and the
+    the kernel lattice itself.  The trivial character's block is triangular
+    in the basis ``(1-t)^a`` and is read off its diagonal; every other block
+    is bounded modulo a prime, and a nonzero bound is certified by lifting
+    its kernel to rationals and checking each vector exactly.  The predicted
+    generator ``sigma (1-t)^(M-1)`` lives in the trivial character, so it
+    lies in the kernel exactly when that block annihilates its
+    ``t``-coefficients (the residual is linear and its normal form unique,
+    so this is ``adams_constraint_residual(...).is_zero()``); it is
+    primitive, so it spans the kernel exactly when it lies in it and the
     rank is 1.  Then run the top-exponent specialization that forces the
     remaining integer scalar to vanish, which pins the Seiberg-Witten integer
     of the trivial spin-c structure to 0.

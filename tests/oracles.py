@@ -8,7 +8,10 @@ no code with the program's, so two bases span the same lattice exactly when
 their forms are equal.  ``normal_form_constraint_rows`` builds the Adams
 constraint matrix with one ``normal_form`` call per basis monomial;
 ``candidate_vector`` and ``annihilates`` test the vanishing check's candidate
-against a full matrix.
+against a full matrix.  ``normal_form_layers`` builds the residual's t-layers
+from two ``normal_form`` calls, and ``character_ring`` and ``trivial_block``
+read a character's quotient ring and the trivial character's integer block
+off them, as the rank check once did.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from equispin.repring import (
     RepRingElement,
     adams_constraint_residual,
     adams_multiplier,
+    normal_form,
 )
 
 
@@ -150,3 +154,59 @@ def candidate_vector(p: int, total: int) -> list[int]:
 def annihilates(rows: list[list[int]], vector: list[int]) -> bool:
     """Whether every row of the matrix has dot product 0 with ``vector``."""
     return not any(sum(a * b for a, b in zip(row, vector)) for row in rows)
+
+
+def normal_form_layers(params: InstanceParameters, q: int) -> tuple[list, list]:
+    """``(powers, products)`` of ``repring._residual_layers``, from ``normal_form``.
+
+    ``powers[n]`` holds the layers of ``NF(t^n)`` for ``n <= max(q*(M-1), M)``
+    and ``products[i]`` those of ``NF(t^i * multiplier)`` for ``i < M``, one
+    list over ``xi`` powers per ``t`` power; ``NF(t^M)`` and the
+    multiplier's form are normal forms of ring elements, and the rest follow
+    by ``NF(t * f) = NF(t * NF(f))``.
+    """
+    p = params.p
+    ideal = params.truncation()
+    total = ideal.total
+
+    def layers(element: RepRingElement) -> list[list[int]]:
+        out = [[0] * p for _ in range(total)]
+        for (i, j), c in element.terms():
+            out[i][j] = c
+        return out
+
+    overflow = layers(normal_form(RepRingElement.monomial(p, total), ideal))
+
+    def times_t(rows: list[list[int]]) -> list[list[int]]:
+        out = [[0] * p] + rows[:-1]
+        for b, a in enumerate(rows[-1]):
+            out = [[u + a * layer[(j - b) % p] for j, u in enumerate(row)] for row, layer in zip(out, overflow)]
+        return out
+
+    powers = [layers(RepRingElement.one(p))]
+    while len(powers) <= max(q * (total - 1), total):
+        powers.append(times_t(powers[-1]))
+    products = [layers(normal_form(adams_multiplier(params, q), ideal))]
+    while len(products) < total:
+        products.append(times_t(products[-1]))
+    return powers, products
+
+
+def character_ring(layers, ell: int, xi: int) -> tuple[list[int], list[int]]:
+    """``NF(t^M)`` and the multiplier's form with ``xi`` set to ``xi`` modulo ``ell``."""
+    powers, products = layers
+    total = len(products)
+    return tuple(
+        [sum(c * pow(xi, j, ell) for j, c in enumerate(layer)) % ell for layer in form]
+        for form in (powers[total], products[0])
+    )
+
+
+def trivial_block(params: InstanceParameters, q: int, layers) -> list[list[int]]:
+    """The Adams matrix's block at the trivial character, on the ``t^i``, ``xi`` set to 1.
+
+    ``T[a][i] = sum_b powers[q*i][a][b] - q^l sum_b products[i][a][b]``.
+    """
+    powers, products = layers
+    total, scale = len(products), q ** params.l
+    return [[sum(powers[q * i][a]) - scale * sum(products[i][a]) for i in range(total)] for a in range(total)]

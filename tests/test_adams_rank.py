@@ -2,8 +2,11 @@
 
 ``adams_kernel_rank`` never forms the constraint matrix; ``integer_kernel`` on
 ``_constraint_rows`` is the oracle for its rank and for the membership and
-span of the candidate generator.  The certificate that turns kernels modulo
-primes into a proven rank is driven here through its two recovery paths.
+span of the candidate generator.  The character rings it builds from
+``(m, n)``, its rule for the trivial block and its residual layers are checked
+against the layers built from ``normal_form`` in ``oracles``.  The certificate
+that turns kernels modulo primes into a proven rank is driven here through its
+two recovery paths.
 """
 
 import random
@@ -13,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from equispin import intlinalg, repring
 from equispin.intlinalg import (
+    _echelon_mod,
     certified_kernel,
     integer_kernel,
     kernel_mod,
@@ -24,18 +29,22 @@ from equispin.intlinalg import (
 from equispin.lefschetz import KVector
 from equispin.repring import (
     InstanceParameters,
+    _character_ring,
     _constraint_rows,
+    _fourier_prime,
     _fourier_primes,
     _residual,
     _residual_layers,
+    _root_of_unity,
+    _trivial_block,
     adams_kernel_rank,
 )
 from equispin.rigidity import derive_instance, verify_sw_vanishing
 
-from oracles import annihilates, candidate_vector
+from oracles import annihilates, candidate_vector, character_ring, normal_form_layers, trivial_block
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from corpus import ADAMS_OVER_CAP, ADAMS_POOLS  # noqa: E402
+from corpus import ADAMS_OVER_CAP, ADAMS_POOLS, generate  # noqa: E402
 
 import test_rigidity  # noqa: E402
 
@@ -112,11 +121,111 @@ def test_residual_is_the_matrix_product(p, m, n):
         rows = _constraint_rows(params, (q,))
         layers = _residual_layers(params, q)
         # entries up to 2^80 and of both signs, so the packed sums carry
-        # across many digits
-        for seed in range(3):
-            x = [((seed * 7 + 3 * r * r) % 5 - 2) << (40 * seed) for r in range(len(rows[0]))]
-            flat = [c for layer in _residual(params, q, layers, x) for c in layer]
+        # across many digits; the three vectors are packed together
+        vectors = [
+            [((seed * 7 + 3 * r * r) % 5 - 2) << (40 * seed) for r in range(len(rows[0]))] for seed in range(3)
+        ]
+        for x, residual in zip(vectors, _residual(params, q, layers, vectors)):
+            flat = [c for layer in residual for c in layer]
             assert flat == [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+# -- the rings, the trivial block and the layers, against normal forms -----------
+
+P5 = _params(5, (1, 2, 2, 2, 2), (3, 1, 1, 1, 1))
+P7 = _params(7, (2, 1, 3, 1, 1, 1, 1), (2, 1, 0, 1, 1, 1, 1), l=2)
+
+RING_CASES = (
+    [pytest.param(case.values[0], (2,), id=case.id) for case in POOLS]
+    + [
+        pytest.param(params, (2, 3), id=f"membership-{i}")
+        for i, params in enumerate(test_rigidity.TestCandidateMembership.INSTANCES)
+    ]
+    + [pytest.param(P5, range(1, 7), id="p5"), pytest.param(P7, range(1, 7), id="p7")]
+)
+
+
+@pytest.mark.parametrize("params, qs", RING_CASES)
+def test_direct_rings_and_layers_match_normal_forms(params, qs):
+    p = params.p
+    for q in qs:
+        layers = normal_form_layers(params, q)
+        assert _residual_layers(params, q) == layers, q
+        for index in (0, 1):
+            ell = _fourier_prime(p, index)
+            w = _root_of_unity(p, ell)
+            for r in range(p):
+                xi = pow(w, -r % p, ell)
+                assert _character_ring(params, q, ell, xi) == character_ring(layers, ell, xi), (q, ell, r)
+
+
+def trivial_block_cases(per_shape: int, seed: int = 0):
+    """Random instances at p in {3, 5, 7}, l in {0, 1, 2}, d in {0, 1}, with every q <= 6 that p does not divide."""
+    rng = random.Random(seed)
+    for p in (3, 5, 7):
+        for l in (0, 1, 2):
+            for d in (0, 1):
+                for _ in range(per_shape):
+                    n_total = rng.randint(0, 4)
+                    m, n = [0] * p, [0] * p
+                    for _ in range(l + n_total + 1):
+                        m[rng.randrange(p)] += 1
+                    for _ in range(n_total):
+                        n[rng.randrange(p)] += 1
+                    m[0] += d
+                    params = _params(p, tuple(m), tuple(n), l=l, d=d)
+                    for q in range(1, 7):
+                        if q % p:
+                            yield params, q
+
+
+def check_trivial_block(params, q, rng):
+    total = params.truncation().total
+    block = trivial_block(params, q, normal_form_layers(params, q))
+    kernel = integer_kernel(block)
+    candidate = candidate_vector(1, total)
+    rank = _trivial_block(total, q, candidate)[0]
+    assert rank == len(kernel)
+    if q == 1:
+        assert kernel == [[int(i == j) for j in range(total)] for i in range(total)]
+    else:
+        assert kernel == [candidate]
+    bumped = list(candidate)
+    bumped[rng.randrange(total)] += 1
+    for probe in (candidate, [-3 * v for v in candidate], bumped, [0] * total, [rng.randint(-2, 2) for _ in candidate]):
+        assert _trivial_block(total, q, probe) == (rank, annihilates(block, probe)), probe
+
+
+def test_trivial_block_rule_matches_hermite_kernel():
+    # a sample; trivial_block_cases(20) gives 1,800 cases
+    rng = random.Random(1)
+    for params, q in trivial_block_cases(2):
+        check_trivial_block(params, q, rng)
+
+
+def test_adams_sweep_builds_layers_only_to_certify(monkeypatch, tmp_path):
+    built = []
+    layers = repring._residual_layers
+
+    def counted(params, q):
+        built.append((params.m_vector, params.n_vector))
+        return layers(params, q)
+
+    def forbidden(rows):
+        raise AssertionError("integer_kernel called")
+
+    monkeypatch.setattr(repring, "_residual_layers", counted)
+    monkeypatch.setattr(repring, "integer_kernel", forbidden)
+    monkeypatch.setattr(intlinalg, "integer_kernel", forbidden)
+    ranks = {}
+    for op in generate("adams-sweep", 0, tmp_path):
+        argv = op["argv"]
+        m, n = (tuple(map(int, argv[argv.index(flag) + 1].split(","))) for flag in ("--m", "--n"))
+        ranks[m, n] = verify_sw_vanishing(_params(3, m, n)).kernel_rank
+    assert len(ranks) == 9
+    assert built == [((0, 3, 6), (4, 0, 3))]
+    assert {key for key, rank in ranks.items() if rank != 1} == {((0, 3, 6), (4, 0, 3))}
+    assert ranks[(0, 3, 6), (4, 0, 3)] == 3
 
 
 # -- the certificate --------------------------------------------------------------
@@ -131,8 +240,8 @@ def _kernel_certificate(rows, primes):
         calls.append(ell)
         return kernel_mod(rows, ell)
 
-    def exact(x):
-        return all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+    def exact(vectors):
+        return all(sum(a * b for a, b in zip(row, x)) == 0 for x in vectors for row in rows)
 
     return certified_kernel(residues, exact, primes), calls
 
@@ -177,6 +286,25 @@ def test_kernel_mod_and_matmul_mod():
     assert kernel_mod(rows, ell) == [[1, ell - 2, 1]]
     assert matmul_mod(rows, [[1], [ell - 2], [1]], ell) == [[0], [0]]
     assert kernel_mod([[0, 0]], ell) == [[1, 0], [0, 1]]
+
+
+def test_kernel_mod_matches_reduced_echelon_form():
+    # the kernel read off the reduced echelon form, one vector per free column
+    ell = PRIMES[0]
+    rng = random.Random(7)
+    for nrows, ncols in ((1, 1), (3, 3), (4, 6), (6, 4), (9, 9)):
+        for _ in range(20):
+            rows = [[rng.randrange(3) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:  # force a dependent row
+                rows[-1] = [u + 2 * v for u, v in zip(rows[0], rows[1])]
+            pivots, reduced = _echelon_mod(rows, ell)
+            want = []
+            for f in (c for c in range(ncols) if c not in pivots):
+                vec = [int(c == f) for c in range(ncols)]
+                for col, row in zip(pivots, reduced):
+                    vec[col] = -row[f] % ell
+                want.append(vec)
+            assert kernel_mod(rows, ell) == want, rows
 
 
 def test_poly_inverse_mod():

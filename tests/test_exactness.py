@@ -9,12 +9,27 @@ fractions (``comb``, ``gcd``, ``isqrt``, ``lcm``, ``floor``, ...) are
 allowed.  Only the functions in ``ALLOWED`` may break the rule:
 ``rigidity.numeric_estimate`` is the advisory estimate printed next to an
 irrational spin number, which no decision reads.
+
+Two tests check the same rule on the reports: over the seeded p = 3 and
+large-p verdict corpora of ``perfbench/corpus.py`` no report holds a float,
+and with ``numeric_estimate`` replaced by a constant every report is the same
+but for the estimate fields and the note that quotes them.
 """
 
 import ast
+import json
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "equispin"
+import pytest
+
+from equispin import rigidity
+from equispin.dataset import parse_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "equispin"
+sys.path.insert(0, str(ROOT / "perfbench"))
+from corpus import generate  # noqa: E402
 
 ALLOWED = {("rigidity", "numeric_estimate")}
 
@@ -104,3 +119,53 @@ def numeric_estimate(value):
     ]
     # outside rigidity the allowed name is not allowed
     assert "import mpmath" in [hit.split(": ", 1)[1] for hit in float_uses(source, "cyclo")]
+
+
+# -- the reports -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def corpus_datasets(tmp_path_factory):
+    """Every dataset of the seed-0 verdict-p3 and verdict-large-p corpora."""
+    datasets = []
+    for workload in ("verdict-p3", "verdict-large-p"):
+        for op in generate(workload, 0, tmp_path_factory.mktemp(workload)):
+            datasets.append(parse_dataset(Path(op["argv"][1]).read_bytes()))
+    return datasets
+
+
+def _floats(value, path="report") -> list[str]:
+    if isinstance(value, float):
+        return [path]
+    if isinstance(value, dict):
+        return [hit for key, v in value.items() for hit in _floats(v, f"{path}.{key}")]
+    if isinstance(value, (list, tuple)):
+        return [hit for i, v in enumerate(value) for hit in _floats(v, f"{path}[{i}]")]
+    return []
+
+
+def _without_estimates(report: dict) -> dict:
+    """``report`` with every advisory estimate, and the note quoting it, blanked."""
+    out = json.loads(json.dumps(report))
+    for spin in [out["spin"]] + [entry["spin"] for entry in out["lift_sweep"] or ()]:
+        spin["estimate"] = None
+    for note in out["notes"]:
+        if note["anchor"] == "rationality-hypothesis":
+            note["detail"] = None
+    return out
+
+
+def test_no_report_holds_a_float(corpus_datasets):
+    for dataset in corpus_datasets:
+        report = rigidity.verdict_report(rigidity.verdict(dataset))
+        assert _floats(report) == [], dataset
+
+
+def test_reports_do_not_read_the_estimate(corpus_datasets, monkeypatch):
+    real = [rigidity.verdict_report(rigidity.verdict(d)) for d in corpus_datasets]
+    monkeypatch.setattr(rigidity, "numeric_estimate", lambda value, bits=80: "constant")
+    constant = [rigidity.verdict_report(rigidity.verdict(d)) for d in corpus_datasets]
+    # the corpora have irrational spin numbers, so the estimate was printed
+    assert any(r["spin"]["estimate"] == "constant" for r in constant)
+    for a, b in zip(real, constant):
+        assert json.dumps(_without_estimates(a), sort_keys=True) == json.dumps(_without_estimates(b), sort_keys=True)
