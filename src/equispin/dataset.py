@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from collections import namedtuple
 
 from .cyclo import PRIMALITY_BOUND, is_odd_prime
 
@@ -28,13 +28,9 @@ class DatasetError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class ManifoldInvariants:
-    b1: int
-    b_plus: int
-    signature: int
-    euler: int
-    is_spin: bool
+class ManifoldInvariants(namedtuple("ManifoldInvariants", "b1 b_plus signature euler is_spin")):
+    __slots__ = ()
+    _kinds = (int, int, int, int, bool)
 
     @staticmethod
     def k3() -> "ManifoldInvariants":
@@ -71,11 +67,9 @@ def _rotation(name: str, l: int, p: int) -> list[str]:
     return []
 
 
-@dataclass(frozen=True)
-class IsolatedPoint:
-    l_alpha: int
-    l_beta: int
-    epsilon: int
+class IsolatedPoint(namedtuple("IsolatedPoint", "l_alpha l_beta epsilon")):
+    __slots__ = ()
+    _kinds = (int, int, int)
 
     def violations(self, p: int) -> list[str]:
         out = _rotation("l_alpha", self.l_alpha, p) + _rotation("l_beta", self.l_beta, p)
@@ -84,12 +78,9 @@ class IsolatedPoint:
         return out
 
 
-@dataclass(frozen=True)
-class FixedSurface:
-    self_intersection: int
-    genus: int
-    l_theta: int
-    epsilon: int
+class FixedSurface(namedtuple("FixedSurface", "self_intersection genus l_theta epsilon")):
+    __slots__ = ()
+    _kinds = (int, int, int, int)
 
     def violations(self, p: int, trivial_k3: bool) -> list[str]:
         out = _rotation("l_theta", self.l_theta, p)
@@ -108,18 +99,28 @@ class FixedSurface:
         return out
 
 
-@dataclass(frozen=True)
-class FixedPointDataset:
-    p: int
-    manifold: ManifoldInvariants
-    quotient_b_plus: int
-    homologically_trivial: bool
-    isolated: tuple[IsolatedPoint, ...] = ()
-    surfaces: tuple[FixedSurface, ...] = ()
+class FixedPointDataset(
+    namedtuple(
+        "FixedPointDataset",
+        "p manifold quotient_b_plus homologically_trivial isolated surfaces",
+        defaults=((), ()),
+    )
+):
+    """The manifold, the quotient's b_plus, and the fixed components as tuples."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "isolated", tuple(self.isolated))
-        object.__setattr__(self, "surfaces", tuple(self.surfaces))
+    __slots__ = ()
+    # None marks the nested object and the two component lists
+    _kinds = (int, None, int, bool, None, None)
+
+    def __new__(cls, p, manifold, quotient_b_plus, homologically_trivial, isolated=(), surfaces=()):
+        return tuple.__new__(
+            cls, (p, manifold, quotient_b_plus, homologically_trivial, tuple(isolated), tuple(surfaces))
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace coerces as construction does
+        return cls(*iterable)
 
     def violations(self) -> list[str]:
         out = []
@@ -145,17 +146,14 @@ class FixedPointDataset:
         return out
 
 
-_KINDS = {"int": int, "bool": bool}
-
-
 @functools.cache
 def _schema(cls) -> dict[str, type | None]:
     """Field name to JSON type for each field of ``cls``, in declaration order.
 
     The type is ``int`` or ``bool`` for a scalar field and None for a nested
-    object or list; annotations are strings here (postponed evaluation).
+    object or list, as the record's ``_kinds`` declares it.
     """
-    return {f.name: _KINDS.get(f.type) for f in fields(cls)}
+    return dict(zip(cls._fields, cls._kinds))
 
 
 def _require(value, name: str, kind: type, errors: list[str]):
@@ -215,7 +213,7 @@ def _parse_components(document: dict, key: str, cls, errors: list[str]) -> list:
 def parse_dataset(document) -> FixedPointDataset:
     """Parse and validate a dataset from JSON text, UTF-8 bytes, or a dict.
 
-    Key names and JSON types are the dataclass fields.  Raises
+    Key names and JSON types are the record fields and their ``_kinds``.  Raises
     :class:`DatasetError` carrying every schema and invariant violation
     found, each named individually, in declaration order.
     """
@@ -234,9 +232,9 @@ def parse_dataset(document) -> FixedPointDataset:
     unknown = document.keys() - _schema(FixedPointDataset).keys()
     if unknown:
         errors.append(f"unknown keys: {sorted(unknown)}")
-    for f in fields(FixedPointDataset):
-        if f.default is MISSING and f.name not in document:
-            errors.append(f"missing key: {f.name}")
+    for name in FixedPointDataset._fields:
+        if name not in FixedPointDataset._field_defaults and name not in document:
+            errors.append(f"missing key: {name}")
     if errors:
         raise DatasetError(errors)
 
@@ -261,7 +259,11 @@ def parse_dataset(document) -> FixedPointDataset:
 
 def serialize_dataset(dataset: FixedPointDataset) -> dict:
     """Canonical plain-dict form (inverse of :func:`parse_dataset`); component lists are tuples."""
-    return asdict(dataset)
+    out = dataset._asdict()
+    out["manifold"] = dataset.manifold._asdict()
+    out["isolated"] = tuple(pt._asdict() for pt in dataset.isolated)
+    out["surfaces"] = tuple(sf._asdict() for sf in dataset.surfaces)
+    return out
 
 
 def to_json(dataset: FixedPointDataset) -> str:
@@ -299,21 +301,16 @@ def fermat_quartic() -> FixedPointDataset:
 # -- half-weight normalization ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HalfWeightPoint:
+class HalfWeightPoint(namedtuple("HalfWeightPoint", "a b")):
     """Rotation numbers and spin sign of an isolated point, jointly mod 2p."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HalfWeightSurface:
+class HalfWeightSurface(namedtuple("HalfWeightSurface", "c self_intersection genus")):
     """Rotation number and spin sign of a fixed surface, jointly mod 2p."""
 
-    c: int
-    self_intersection: int
-    genus: int
+    __slots__ = ()
 
 
 def normalize_half_weights(

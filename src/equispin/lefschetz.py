@@ -37,7 +37,7 @@ constant, not a j-th power.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, _reduce_coeffs, _scatter, half_angle_cos, half_angle_csc
@@ -211,16 +211,14 @@ def spin_index(manifold: ManifoldInvariants) -> Fraction:
     return Fraction(-manifold.signature, 8)
 
 
-@dataclass(frozen=True)
-class SpinNumberTuple:
+class SpinNumberTuple(namedtuple("SpinNumberTuple", "p defects")):
     """Spin numbers of all powers, held as their rational defect vector.
 
     ``Spin(j) = sum_i defects[i] nu^(i j)``, so slot 0 is the full index
     ``-sigma/8``.  Values are built on demand.
     """
 
-    p: int
-    defects: tuple[Fraction, ...]
+    __slots__ = ()
 
     def value(self, j: int) -> CyclotomicNumber:
         """``Spin(j)`` at its minimal conductor (1 or p), from ``k_i`` at exponent ``i j``."""
@@ -229,18 +227,17 @@ class SpinNumberTuple:
             return CyclotomicNumber.from_rational(coeffs[0])
         return CyclotomicNumber(self.p, coeffs)
 
-    @functools.cached_property
+    @property
     def values(self) -> tuple[CyclotomicNumber, ...]:
+        """Every ``Spin(j)``, built afresh on each access."""
         return tuple(self.value(j) for j in range(self.p))
 
     def check(self) -> None:
         """Realness of every entry, hence symmetry under ``j -> p - j``: ``k_i = k_(p-i)``."""
-        d = self.defects
-        for i in range(1, self.p):
-            if d[i] != d[self.p - i]:
-                raise ValueError(
-                    f"spin numbers are not real: defects {i} and {self.p - i} differ"
-                )
+        p, d = self
+        for i in range(1, p):
+            if d[i] != d[p - i]:
+                raise ValueError(f"spin numbers are not real: defects {i} and {p - i} differ")
 
 
 def spin_number_tuple(dataset: FixedPointDataset) -> SpinNumberTuple:
@@ -250,17 +247,21 @@ def spin_number_tuple(dataset: FixedPointDataset) -> SpinNumberTuple:
     return out
 
 
-@dataclass(frozen=True)
-class KVector:
+class KVector(namedtuple("KVector", "p k")):
     """Integer eigenspace defects ``(k_0, ..., k_{p-1})``; they sum to -sigma/8."""
 
-    p: int
-    k: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        if len(self.k) != self.p:
+    def __new__(cls, p, k):
+        k = tuple(int(v) for v in k)
+        if len(k) != p:
             raise ValueError("defect vector must have one entry per group element")
+        return tuple.__new__(cls, (p, k))
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace coerces and checks as construction does
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
@@ -268,7 +269,9 @@ class KVector:
 
     def shifted(self, q: int) -> "KVector":
         """Relabeling induced by multiplying the lift by a p-th root of unity."""
-        return KVector(self.p, tuple(self.k[(i + q) % self.p] for i in range(self.p)))
+        p, k = self
+        q %= p
+        return KVector(p, k[q:] + k[:q])
 
 
 def k_vector(spins: SpinNumberTuple | list | tuple) -> KVector:

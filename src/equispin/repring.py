@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -219,8 +219,7 @@ def one_minus_t_xi(p: int, i: int) -> RepRingElement:
     return RepRingElement(p, {(0, 0): 1, (1, i % p): -1})
 
 
-@dataclass(frozen=True)
-class TruncationIdeal:
+class TruncationIdeal(namedtuple("TruncationIdeal", "p m_vector")):
     """The principal ideal generated by ``prod_i (1 - t*xi^i)^(m_i)``.
 
     The generator's top t-coefficient is ``(-1)^M * xi^s``, a unit of the
@@ -228,17 +227,22 @@ class TruncationIdeal:
     ``M = sum(m_i)``.
     """
 
-    p: int
-    m_vector: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
+    def __new__(cls, p, m_vector):
+        if not is_odd_prime(p):
             raise ValueError("group order must be an odd prime")
-        object.__setattr__(self, "m_vector", tuple(int(m) for m in self.m_vector))
-        if len(self.m_vector) != self.p:
+        m_vector = tuple(int(m) for m in m_vector)
+        if len(m_vector) != p:
             raise ValueError("exponent vector must have one entry per group element")
-        if any(m < 0 for m in self.m_vector):
+        if any(m < 0 for m in m_vector):
             raise ValueError("exponents must be non-negative")
+        return tuple.__new__(cls, (p, m_vector))
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace coerces and checks as construction does
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
@@ -311,8 +315,7 @@ def _clear_negative_powers(element: RepRingElement, gen: RepRingElement) -> RepR
     return out
 
 
-@dataclass(frozen=True)
-class InstanceParameters:
+class InstanceParameters(namedtuple("InstanceParameters", "p m_vector n_vector l d", defaults=(0,))):
     """Dimension data for one run of the Adams-constraint machinery.
 
     ``m_vector`` and ``n_vector`` are the eigenspace dimensions of the two
@@ -322,38 +325,31 @@ class InstanceParameters:
     defects are ``k_i = m_i - n_i``.
     """
 
-    p: int
-    m_vector: tuple[int, ...]
-    n_vector: tuple[int, ...]
-    l: int
-    d: int = 0
-    t_vector: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
+    def __new__(cls, p, m_vector, n_vector, l, d=0):
+        if not is_odd_prime(p):
             raise ValueError("group order must be an odd prime")
-        object.__setattr__(self, "m_vector", tuple(int(m) for m in self.m_vector))
-        object.__setattr__(self, "n_vector", tuple(int(n) for n in self.n_vector))
-        if len(self.m_vector) != self.p or len(self.n_vector) != self.p:
+        m_vector = tuple(int(m) for m in m_vector)
+        n_vector = tuple(int(n) for n in n_vector)
+        if len(m_vector) != p or len(n_vector) != p:
             raise ValueError("dimension vectors must have one entry per group element")
-        if any(m < 0 for m in self.m_vector) or any(n < 0 for n in self.n_vector):
+        if any(m < 0 for m in m_vector) or any(n < 0 for n in n_vector):
             raise ValueError("dimensions must be non-negative")
-        if self.l < 0:
+        if l < 0:
             raise ValueError("l must be non-negative")
-        if self.l + sum(self.n_vector) != sum(self.m_vector) - 1 - self.d:
+        if l + sum(n_vector) != sum(m_vector) - 1 - d:
             raise ValueError(
                 "parameter bookkeeping violated: l + sum(n) must equal sum(m) - 1 - d"
             )
-        if self.m_vector[0] < self.d:
+        if m_vector[0] < d:
             raise ValueError("m_0 must be at least the virtual dimension")
-        if self.t_vector is None:
-            t_vec = (2 * self.l + 1,) + (0,) * (self.p - 1)
-            object.__setattr__(self, "t_vector", t_vec)
-        else:
-            t_vec = tuple(int(t) for t in self.t_vector)
-            if len(t_vec) != self.p or sum(t_vec) != 2 * self.l + 1:
-                raise ValueError("t_vector must sum to b_plus = 2l + 1")
-            object.__setattr__(self, "t_vector", t_vec)
+        return tuple.__new__(cls, (p, m_vector, n_vector, l, d))
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace coerces and checks as construction does
+        return cls(*iterable)
 
     @property
     def k_vector(self) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, IntPolynomial
@@ -72,14 +72,14 @@ def numeric_estimate(value: CyclotomicNumber, bits: int = 80) -> str:
         return mpmath.nstr(acc, max(6, bits * 3 // 10))
 
 
-@dataclass(frozen=True)
-class SpinClass:
-    """Exact rationality and sign classification of a spin number."""
+class SpinClass(namedtuple("SpinClass", "rational value sign estimate", defaults=(None,))):
+    """Exact rationality and sign classification of a spin number.
 
-    rational: bool
-    value: Fraction | None
-    sign: str
-    estimate: str | None = None
+    ``value`` is the exact Fraction when rational; ``estimate`` is the
+    advisory numeric string of an irrational value.
+    """
+
+    __slots__ = ()
 
 
 def _rational_class(value: Fraction) -> SpinClass:
@@ -124,12 +124,10 @@ def classify_first_spin(spins: SpinNumberTuple, precision_bits: int = 80) -> Spi
     )
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(namedtuple("Reason", "anchor detail")):
     """One checked inequality or equation, with the witnessed numbers."""
 
-    anchor: str
-    detail: str
+    __slots__ = ()
 
 
 def check_k_constraints(kv: KVector, spin: SpinClass, quotient_b_plus: int) -> list[Reason]:
@@ -246,18 +244,21 @@ def derive_instance(kv: KVector, l: int = 1, d: int = 0, pad: int = 1) -> Instan
     return InstanceParameters(p=kv.p, m_vector=m, n_vector=n, l=l, d=d)
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    """Outcome of the Adams-kernel verification for one parameter set."""
+class VanishingReport(
+    namedtuple(
+        "VanishingReport",
+        "hypotheses_met detail q kernel_rank kernel_contains_expected"
+        " kernel_spanned_by_expected scalar_forced_zero sw_value",
+        defaults=(None,) * 6,
+    )
+):
+    """Outcome of the Adams-kernel verification for one parameter set.
 
-    hypotheses_met: bool
-    detail: str
-    q: int | None = None
-    kernel_rank: int | None = None
-    kernel_contains_expected: bool | None = None
-    kernel_spanned_by_expected: bool | None = None
-    scalar_forced_zero: bool | None = None
-    sw_value: int | None = None
+    The fields after ``detail`` stay None when the hypotheses fail, and
+    ``sw_value`` is None unless the scalar is forced to zero.
+    """
+
+    __slots__ = ()
 
 
 def _scalar_constraint_poly(p: int, k_total: int, l: int) -> IntPolynomial:
@@ -395,19 +396,18 @@ def _vanishing_once(params: InstanceParameters) -> VanishingReport:
     return verify_sw_vanishing(params)
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
-    """Outcome of the full constraint pipeline with its reason chain."""
+class RigidityVerdict(
+    namedtuple(
+        "RigidityVerdict", "outcome reasons notes spin spins k sweep quotient vanishing"
+    )
+):
+    """Outcome of the full constraint pipeline with its reason chain.
 
-    outcome: str
-    reasons: tuple[Reason, ...]
-    notes: tuple[Reason, ...]
-    spin: SpinClass
-    spins: SpinNumberTuple | None
-    k: KVector | None
-    sweep: tuple | None
-    quotient: dict | None
-    vanishing: VanishingReport | None
+    ``reasons`` and ``notes`` are tuples of :class:`Reason`; each field from
+    ``spins`` on is None where the pipeline did not compute it.
+    """
+
+    __slots__ = ()
 
 
 def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVerdict:
@@ -616,7 +616,9 @@ def quotient_dict(quotient: dict) -> dict:
 
 def vanishing_dict(report: VanishingReport) -> dict:
     """The ``prop41`` report section: every field of the report but the Adams exponent."""
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name != "q"}
+    out = report._asdict()
+    del out["q"]
+    return out
 
 
 def verdict_report(v: RigidityVerdict) -> dict:

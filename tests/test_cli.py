@@ -275,6 +275,21 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_footprint():
+    # the records are named tuples: importing the CLI needs none of these
+    # modules, which cost several milliseconds of every one-shot run
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules); "
+        "import equispin.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 class TestPrecisionBound:
     @pytest.fixture
     def irrational_file(self, tmp_path):

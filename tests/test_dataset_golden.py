@@ -1,10 +1,12 @@
 """Exact parse errors: the ``DatasetError.violations`` list of each malformed document.
 
 The table was recorded before the dataset schema was derived from the
-dataclasses; any change to an error text, to the order in which errors are
-reported, or to the point where parsing stops fails here.  The documents
-together reach every message that ``parse_dataset`` and the ``violations``
-methods can emit.  After an intended change, print the new table with
+record classes, and kept when those records became named tuples whose
+``_fields`` and ``_kinds`` give the schema; any change to an error text, to
+the order in which errors are reported, or to the point where parsing stops
+fails here.  The documents together reach every message that
+``parse_dataset`` and the ``violations`` methods can emit.  After an
+intended change, print the new table with
 ``PYTHONPATH=src python tests/test_dataset_golden.py`` and paste it over
 ``GOLDEN``.
 """

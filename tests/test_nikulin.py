@@ -10,7 +10,6 @@ and H^(0,2).  Each point's spin term is then its holomorphic Lefschetz term
 1/|1 - zeta^a|^2.
 """
 
-import dataclasses
 import itertools
 
 import pytest
@@ -60,7 +59,7 @@ def test_every_other_sign_choice_has_non_integral_defects(p):
 def test_spin_terms_are_holomorphic_lefschetz_terms(p):
     dataset = _nikulin(p, [-1] * len(TYPES[p]))
     for point in dataset.isolated:
-        alone = dataclasses.replace(dataset, isolated=(point,))
+        alone = dataset._replace(isolated=(point,))
         want = _holomorphic_term(p, point.l_alpha)
         assert spin_number_from_angles(alone) == want
         assert spin_number(alone, 1) == want

@@ -141,10 +141,6 @@ class TestInstanceParameters:
         params = InstanceParameters(p=3, m_vector=(2, 2, 2), n_vector=(2, 1, 1), l=1, d=0)
         assert params.k_vector == (0, 1, 1)
 
-    def test_default_t_vector(self):
-        params = InstanceParameters(p=3, m_vector=(2, 2, 2), n_vector=(2, 1, 1), l=1, d=0)
-        assert params.t_vector == (3, 0, 0)
-
     def test_nonzero_virtual_dimension_truncation(self):
         params = InstanceParameters(p=3, m_vector=(3, 2, 2), n_vector=(2, 1, 1), l=1, d=1)
         assert params.truncation().m_vector == (2, 2, 2)

@@ -1,6 +1,5 @@
 """Verdict engine: classification, defect constraints, vanishing, enumeration."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -219,8 +218,8 @@ class TestVanishingCache:
         negative_one = engineered_trivial_datasets()[1]
         datasets = (
             negative_one,
-            dataclasses.replace(negative_one, isolated=negative_one.isolated[::-1]),
-            dataclasses.replace(negative_one, surfaces=negative_one.surfaces[::-1]),
+            negative_one._replace(isolated=negative_one.isolated[::-1]),
+            negative_one._replace(surfaces=negative_one.surfaces[::-1]),
         )
         calls = self._count_kernels(monkeypatch)
         verdicts = [verdict(d) for d in datasets]
