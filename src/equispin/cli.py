@@ -20,9 +20,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import rigidity
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, half_angle_csc
@@ -49,7 +49,8 @@ def _emit(payload, fmt: str, render_text) -> None:
 
 
 def _load_dataset(path) -> FixedPointDataset:
-    return parse_dataset(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return parse_dataset(fh.read())
 
 
 # -- dataset commands: payload builders and text renderers ------------------------
@@ -137,15 +138,15 @@ def _per_dataset(build_one):
             if not args.input:
                 raise ValueError("an input file (or --batch) is required")
             return build_one(args, _load_dataset(args.input))
-        root = Path(args.batch)
-        if not root.is_dir():
+        if not os.path.isdir(args.batch):
             raise FileNotFoundError(f"batch directory not found: {args.batch}")
         results = []
-        for path in sorted(root.glob("*.json")):
+        for name in sorted(n for n in os.listdir(args.batch) if n.endswith(".json")):
+            path = os.path.join(args.batch, name)
             try:
-                results.append({"file": path.name, "report": build_one(args, _load_dataset(path))})
+                results.append({"file": name, "report": build_one(args, _load_dataset(path))})
             except ValueError as exc:
-                results.append({"file": path.name, "error": str(exc)})
+                results.append({"file": name, "error": str(exc)})
         return {"results": results}
 
     return build

@@ -337,22 +337,21 @@ def _require_p3(dataset: FixedPointDataset) -> None:
 
 
 def signature_quotient_p3(dataset: FixedPointDataset) -> Fraction:
-    """Exact signature of the orbit space for an order-3 action.
+    """Exact signature of the orbit space for an order-3 action (:func:`orbit_signature_p3`)."""
+    _require_p3(dataset)
+    surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
+    return orbit_signature_p3(dataset.manifold.signature, surface_sum, *count_p3_types(dataset))
+
+
+def orbit_signature_p3(signature: int, surface_sum: int, f1: int, f2: int) -> Fraction:
+    """Exact orbit-space signature of an order-3 action from the aggregates of its fixed set.
 
     ``3 sigma(X/G) = sigma(X) + (8/3) * sum <F,F> + (2/3) (f1 - f2)``; the
     surface coefficient is ``csc^2(pi/3) + csc^2(2pi/3) = 8/3``.  The result
     is returned as an exact rational; integrality is the caller's check (a
     non-integral value is itself an obstruction).
     """
-    _require_p3(dataset)
-    f1, f2 = count_p3_types(dataset)
-    surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
-    total = (
-        dataset.manifold.signature
-        + Fraction(8, 3) * surface_sum
-        + Fraction(2, 3) * (f1 - f2)
-    )
-    return total / 3
+    return (signature + Fraction(8, 3) * surface_sum + Fraction(2, 3) * (f1 - f2)) / 3
 
 
 def euler_quotient_p3(dataset: FixedPointDataset) -> Fraction:

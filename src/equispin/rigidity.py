@@ -1,22 +1,22 @@
 """Constraint and verdict engine for homologically trivial cyclic actions.
 
-The pipeline evaluates a candidate fixed-point dataset against every exact
-necessary condition this toolkit knows:
+A candidate fixed-point dataset is reduced once to its exact :class:`Facts`
+(realness and twist symmetry of the spin numbers are checked on the way),
+and every other necessary condition this toolkit knows is a pure rule on
+them, in one of three ordered tables:
 
-* realness, twist symmetry, and (order 3) rationality of the spin numbers;
-* integrality of the eigenspace-defect vector and the defect bounds;
-* integrality of the orbit-space signature and Euler characteristic, and
-  their rigidity under a homologically trivial action;
-* the vanishing theorem for the Seiberg-Witten integer of the trivial
-  spin-c structure when the spin number is rational and negative, played
-  against the parity fact that this integer is odd on a homotopy K3
-  surface (Morgan-Szabo), which yields the contradiction.
+* ``VIOLATIONS``: integrality of the eigenspace-defect vector and the defect
+  bounds, integrality of the orbit-space signature and Euler characteristic,
+  and their rigidity under a homologically trivial action;
+* ``CONTRADICTIONS``, run only when no violation fires: the vanishing theorem
+  for the Seiberg-Witten integer of the trivial spin-c structure when the
+  spin number is rational and negative, played against the parity fact that
+  this integer is odd on a homotopy K3 surface (Morgan-Szabo);
+* ``NOTES``: where the argument's hypotheses or readings are in doubt.
 
 Outcomes: ``Contradiction`` (the rigidity argument completed against an
 otherwise consistent dataset), ``ConstraintViolation`` (the dataset already
-fails a necessary condition), ``NoObstruction``.  Every reason in a verdict
-names the checked inequality or equation and is re-checkable through the
-corresponding module operation.
+fails a necessary condition), ``NoObstruction``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, IntPolynomial
@@ -35,6 +36,7 @@ from .lefschetz import (
     euler_quotient_p3,
     fixed_set_euler,
     k_vector,
+    orbit_signature_p3,
     signature_quotient_p3,
     spin_number_tuple,
     synthesize_spins,
@@ -133,9 +135,9 @@ class Reason(namedtuple("Reason", "anchor detail")):
 def check_k_constraints(kv: KVector, spin: SpinClass, quotient_b_plus: int) -> list[Reason]:
     """All defect-vector constraints violated by ``kv``; empty list when clean.
 
-    The bounds assume the invariant part of the positive cone has rank 3
-    (``quotient_b_plus == 3``); with any other value no constraint applies
-    and the list is empty.  Violations are data, not errors.
+    Anchors ``defect-bound``, ``spin-zero-excluded``, ``nonnegative-spin-pattern``,
+    ``negative-spin-pattern`` and ``defect-tail-sum``.  They assume the invariant part of the
+    positive cone has rank 3 (``quotient_b_plus == 3``); with any other value none applies.
     """
     if quotient_b_plus != 3:
         return []
@@ -297,6 +299,8 @@ def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingRepo
     The Hermite basis of the kernel is still
     :func:`~equispin.repring.solve_adams_kernel`.
     """
+    if q < 1:
+        raise ValueError("Adams exponents must be positive integers")
     k = params.k_vector
     l = params.l
     if k[0] > l or len(set(k[1:])) > 1:
@@ -307,8 +311,6 @@ def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingRepo
                 f"got {k}); no conclusion"
             ),
         )
-    if q < 1:
-        raise ValueError("Adams exponents must be positive integers")
     total = params.truncation().total
     # sigma (1-t)^(M-1) has coefficient (-1)^i C(M-1, i) at every t^i xi^j
     candidate = [(-1) ** i * math.comb(total - 1, i) for i in range(total)]
@@ -376,12 +378,15 @@ def orbit_space_p3(dataset: FixedPointDataset) -> dict:
     are integers; a non-integral value is itself an obstruction.
     """
     sigma = signature_quotient_p3(dataset)
-    euler = euler_quotient_p3(dataset)
+    return _orbit_section(sigma, euler_quotient_p3(dataset), dataset.quotient_b_plus)
+
+
+def _orbit_section(sigma: Fraction, euler: Fraction, b_plus: int) -> dict:
     return {
         "sigma": sigma,
         "euler": euler,
-        "b_plus": dataset.quotient_b_plus,
-        "b_minus": dataset.quotient_b_plus - sigma,
+        "b_plus": b_plus,
+        "b_minus": b_plus - sigma,
         "integral": sigma.denominator == 1 and euler.denominator == 1,
     }
 
@@ -394,6 +399,159 @@ def _vanishing_once(params: InstanceParameters) -> VanishingReport:
     and the report is immutable, so every later dataset reuses it.
     """
     return verify_sw_vanishing(params)
+
+
+class Facts(
+    namedtuple(
+        "Facts",
+        "p manifold trivial quotient_b_plus spin k defect_error"
+        " fixed_euler surface_sum has_surfaces f1 f2 quotient",
+    )
+):
+    """The exact aggregates of a dataset that the verdict rules read; no field refers to it.
+
+    ``k`` is the defect vector, or None with the Fourier-inversion message in ``defect_error``.
+    ``fixed_euler`` is chi(F) and ``surface_sum`` the sum of the F.F; ``f1``, ``f2`` and the
+    :func:`orbit_space_p3` section ``quotient`` are None unless ``p == 3``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def vanishing(self) -> VanishingReport | None:
+        """The Adams-kernel check of the ``sw-*`` rules, once per defect vector; else None."""
+        if self.trivial and self.spin.rational and self.spin.sign == SIGN_NEGATIVE:
+            if self.k is not None and self.manifold.is_homotopy_k3:
+                return _vanishing_once(derive_instance(self.k, l=(self.manifold.b_plus - 1) // 2))
+        return None
+
+
+def facts(dataset: FixedPointDataset, spins: SpinNumberTuple, precision_bits: int = 80) -> Facts:
+    """The :class:`Facts` of a dataset whose spin numbers are ``spins``."""
+    try:
+        kv, error = k_vector(spins), None
+    except NonIntegralDefectError as exc:
+        kv, error = None, str(exc)
+    surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
+    f1 = f2 = quotient = None
+    if dataset.p == 3:
+        f1, f2 = count_p3_types(dataset)
+        sigma = orbit_signature_p3(dataset.manifold.signature, surface_sum, f1, f2)
+        quotient = _orbit_section(sigma, euler_quotient_p3(dataset), dataset.quotient_b_plus)
+    return Facts(
+        p=dataset.p, manifold=dataset.manifold, trivial=dataset.homologically_trivial,
+        quotient_b_plus=dataset.quotient_b_plus, spin=classify_first_spin(spins, precision_bits),
+        k=kv, defect_error=error, fixed_euler=fixed_set_euler(dataset), surface_sum=surface_sum,
+        has_surfaces=bool(dataset.surfaces), f1=f1, f2=f2, quotient=quotient,
+    )
+
+
+# -- the verdict rules: each checks its hypotheses first, and yields nothing outside them
+
+
+def defect_integrality(f: Facts) -> Iterator[Reason]:
+    """``defect-integrality``; no hypotheses."""
+    if f.k is None:
+        yield Reason("defect-integrality",
+                     f"Fourier inversion of the spin numbers is not integral: {f.defect_error}")
+
+
+def defect_constraints(f: Facts) -> Iterator[Reason]:
+    """:func:`check_k_constraints`; homotopy K3, integral defects."""
+    if f.k is not None and f.manifold.is_homotopy_k3:
+        yield from check_k_constraints(f.k, f.spin, f.quotient_b_plus)
+
+
+def quotient_integrality(f: Facts) -> Iterator[Reason]:
+    """``quotient-signature-integrality``, ``quotient-euler-integrality``; p = 3."""
+    if f.p != 3:
+        return
+    sigma, euler = f.quotient["sigma"], f.quotient["euler"]
+    if sigma.denominator != 1:
+        yield Reason("quotient-signature-integrality", f"orbit-space signature {sigma} is not an "
+                     "integer; no action with this fixed set exists")
+    if euler.denominator != 1:
+        yield Reason("quotient-euler-integrality",
+                     f"orbit-space Euler characteristic {euler} is not an integer")
+
+
+def trivial_action_p3(f: Facts) -> Iterator[Reason]:
+    """``quotient-signature-trivial``, ``lefschetz-euler-trivial``; p = 3, trivial action.
+
+    ``defect-bookkeeping`` as well, on a homotopy K3 with integral defects.
+    """
+    if f.p != 3 or not f.trivial:
+        return
+    sigma, euler, manifold = f.quotient["sigma"], f.quotient["euler"], f.manifold
+    if sigma != manifold.signature:
+        yield Reason("quotient-signature-trivial", "a homologically trivial action keeps the "
+                     f"signature: orbit space gives {sigma}, manifold has {manifold.signature}")
+    if euler != manifold.euler:
+        yield Reason("lefschetz-euler-trivial", "a homologically trivial action forces the fixed "
+                     f"set to have Euler characteristic {manifold.euler} (found {f.fixed_euler})")
+    if f.k is not None and manifold.is_homotopy_k3:
+        implied = 2 + Fraction(f.f1 - f.f2, 4)
+        if implied != f.k.k[0]:
+            yield Reason("defect-bookkeeping", "combined signature/index bookkeeping forces "
+                         f"k_0 = 2 + (f1 - f2)/4 = {implied}, but the spin numbers give "
+                         f"k_0 = {f.k.k[0]}")
+
+
+def balanced_point_types(f: Facts) -> Iterator[Reason]:
+    """``positive-vs-nonpositive-spin``; p = 3, trivial action, homotopy K3, integral defects."""
+    if f.p == 3 and f.trivial and f.k is not None and f.manifold.is_homotopy_k3 and f.f1 == f.f2:
+        yield Reason("positive-vs-nonpositive-spin", "balanced point types force k_0 = 2, hence "
+                     "spin number 2; but with the type-determined signs the fixed set gives "
+                     f"{Fraction(f.surface_sum, 6)} <= 0, and a spin number can never be 0")
+
+
+def sw_vanishing_vs_parity(f: Facts) -> Iterator[Reason]:
+    """``sw-vanishing``, ``sw-parity``; the hypotheses of :attr:`Facts.vanishing`."""
+    vanishing = f.vanishing
+    if vanishing is not None and vanishing.hypotheses_met and vanishing.scalar_forced_zero:
+        yield Reason("sw-vanishing", "rational negative spin number forces the Seiberg-Witten "
+                     "integer of the trivial spin-c structure to vanish "
+                     f"(kernel rank {vanishing.kernel_rank}, scalar forced to zero)")
+        yield Reason("sw-parity", "the Seiberg-Witten integer of the trivial spin-c structure "
+                     "on a homotopy K3 surface is odd (Morgan-Szabo), so it cannot vanish")
+
+
+def mixed_fixed_set(f: Facts) -> Iterator[Reason]:
+    """``mixed-fixed-set-bookkeeping``; as ``defect-bookkeeping``, with a fixed surface."""
+    if f.p == 3 and f.trivial and f.k is not None and f.manifold.is_homotopy_k3 and f.has_surfaces:
+        yield Reason("mixed-fixed-set-bookkeeping", "the k_0 = 2 + (f1 - f2)/4 identity extends "
+                     "the pseudofree bookkeeping to mixed fixed sets; it is applied as a "
+                     "necessary condition, not re-derived independently")
+
+
+def nontrivial_action(f: Facts) -> Iterator[Reason]:
+    """``nontrivial-action``; p = 3, an action not flagged trivial, an integral orbit space."""
+    if f.p == 3 and not f.trivial and f.quotient["integral"]:
+        sigma, signature = f.quotient["sigma"], f.manifold.signature
+        if sigma != signature:
+            yield Reason("nontrivial-action", f"orbit-space signature {sigma} differs from "
+                         f"{signature}, so the action is nontrivial on middle cohomology")
+
+
+def rationality_hypothesis(f: Facts) -> Iterator[Reason]:
+    """``rationality-hypothesis``; an irrational spin number."""
+    if not f.spin.rational:
+        yield Reason("rationality-hypothesis", "spin number is irrational; the rational-negative "
+                     f"obstruction does not apply (advisory estimate {f.spin.estimate})")
+
+
+def trace_schedule_ambiguity(f: Facts) -> Iterator[Reason]:
+    """``trace-schedule-ambiguity``; p >= 5."""
+    if f.p >= 5:
+        yield Reason("trace-schedule-ambiguity", "the closed-form trace exponents admit two "
+                     "readings for p >= 5; they agree on the product over all twists, which "
+                     "is what the defect bound uses")
+
+
+# the rule tables, each in report order
+VIOLATIONS = (defect_integrality, defect_constraints, quotient_integrality, trivial_action_p3)
+CONTRADICTIONS = (balanced_point_types, sw_vanishing_vs_parity)
+NOTES = (mixed_fixed_set, nontrivial_action, rationality_hypothesis, trace_schedule_ambiguity)
 
 
 class RigidityVerdict(
@@ -411,182 +569,24 @@ class RigidityVerdict(
 
 
 def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVerdict:
-    """Evaluate a dataset against every exact necessary condition.
+    """The rule tables on a dataset's :class:`Facts`, ``CONTRADICTIONS`` only without a violation.
 
     ``Contradiction`` requires the homologically-trivial flag: it means the
     dataset is internally consistent but the two independent computations
     of the Seiberg-Witten integer (or of the spin number's sign) cannot be
     reconciled, which is the rigidity theorem in mechanized form.
     """
-    violations: list[Reason] = []
-    contradictions: list[Reason] = []
-    notes: list[Reason] = []
-
     spins = spin_number_tuple(dataset)
-    spin = classify_first_spin(spins, precision_bits)
-
-    kv = None
-    sweep = None
-    try:
-        kv = k_vector(spins)
-        sweep = tuple(lift_sweep(kv))
-    except NonIntegralDefectError as exc:
-        violations.append(
-            Reason(
-                "defect-integrality",
-                f"Fourier inversion of the spin numbers is not integral: {exc}",
-            )
-        )
-
-    if kv is not None and dataset.manifold.is_homotopy_k3:
-        violations.extend(check_k_constraints(kv, spin, dataset.quotient_b_plus))
-
-    quotient = None
-    if dataset.p == 3:
-        quotient = orbit_space_p3(dataset)
-        sigma_q, euler_q = quotient["sigma"], quotient["euler"]
-        f1, f2 = count_p3_types(dataset)
-        if sigma_q.denominator != 1:
-            violations.append(
-                Reason(
-                    "quotient-signature-integrality",
-                    f"orbit-space signature {sigma_q} is not an integer; "
-                    "no action with this fixed set exists",
-                )
-            )
-        if euler_q.denominator != 1:
-            violations.append(
-                Reason(
-                    "quotient-euler-integrality",
-                    f"orbit-space Euler characteristic {euler_q} is not an integer",
-                )
-            )
-
-    vanishing = None
-    if dataset.homologically_trivial:
-        manifold = dataset.manifold
-        if dataset.p == 3:
-            if sigma_q != manifold.signature:
-                violations.append(
-                    Reason(
-                        "quotient-signature-trivial",
-                        f"a homologically trivial action keeps the signature: "
-                        f"orbit space gives {sigma_q}, manifold has {manifold.signature}",
-                    )
-                )
-            if euler_q != manifold.euler:
-                violations.append(
-                    Reason(
-                        "lefschetz-euler-trivial",
-                        f"a homologically trivial action forces the fixed set to have "
-                        f"Euler characteristic {manifold.euler} "
-                        f"(found {fixed_set_euler(dataset)})",
-                    )
-                )
-            if kv is not None and manifold.is_homotopy_k3:
-                implied = 2 + Fraction(f1 - f2, 4)
-                if implied != kv.k[0]:
-                    violations.append(
-                        Reason(
-                            "defect-bookkeeping",
-                            f"combined signature/index bookkeeping forces "
-                            f"k_0 = 2 + (f1 - f2)/4 = {implied}, but the spin numbers "
-                            f"give k_0 = {kv.k[0]}",
-                        )
-                    )
-                if dataset.surfaces:
-                    notes.append(
-                        Reason(
-                            "mixed-fixed-set-bookkeeping",
-                            "the k_0 = 2 + (f1 - f2)/4 identity extends the pseudofree "
-                            "bookkeeping to mixed fixed sets; it is applied as a "
-                            "necessary condition, not re-derived independently",
-                        )
-                    )
-
-        # the contradiction machinery below is specific to homotopy K3
-        # invariants (the parity of the Seiberg-Witten integer among them)
-        if not violations and kv is not None and manifold.is_homotopy_k3:
-            if dataset.p == 3 and f1 == f2:
-                surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
-                normalized = Fraction(surface_sum, 6)
-                contradictions.append(
-                    Reason(
-                        "positive-vs-nonpositive-spin",
-                        f"balanced point types force k_0 = 2, hence spin number 2; "
-                        f"but with the type-determined signs the fixed set gives "
-                        f"{normalized} <= 0, and a spin number can never be 0",
-                    )
-                )
-            if spin.rational and spin.sign == SIGN_NEGATIVE:
-                l = (manifold.b_plus - 1) // 2
-                vanishing = _vanishing_once(derive_instance(kv, l=l, d=0))
-                if vanishing.hypotheses_met and vanishing.scalar_forced_zero:
-                    contradictions.append(
-                        Reason(
-                            "sw-vanishing",
-                            "rational negative spin number forces the Seiberg-Witten "
-                            "integer of the trivial spin-c structure to vanish "
-                            f"(kernel rank {vanishing.kernel_rank}, scalar forced to zero)",
-                        )
-                    )
-                    contradictions.append(
-                        Reason(
-                            "sw-parity",
-                            "the Seiberg-Witten integer of the trivial spin-c structure "
-                            "on a homotopy K3 surface is odd (Morgan-Szabo), "
-                            "so it cannot vanish",
-                        )
-                    )
-
-    if not dataset.homologically_trivial and dataset.p == 3 and quotient is not None:
-        if quotient["integral"] and quotient["sigma"] != dataset.manifold.signature:
-            notes.append(
-                Reason(
-                    "nontrivial-action",
-                    f"orbit-space signature {quotient['sigma']} differs from "
-                    f"{dataset.manifold.signature}, so the action is nontrivial "
-                    "on middle cohomology",
-                )
-            )
-    if not spin.rational:
-        notes.append(
-            Reason(
-                "rationality-hypothesis",
-                "spin number is irrational; the rational-negative obstruction "
-                f"does not apply (advisory estimate {spin.estimate})",
-            )
-        )
-    if dataset.p >= 5:
-        notes.append(
-            Reason(
-                "trace-schedule-ambiguity",
-                "the closed-form trace exponents admit two readings for p >= 5; "
-                "they agree on the product over all twists, which is what the "
-                "defect bound uses",
-            )
-        )
-
-    if violations:
-        outcome = CONSTRAINT_VIOLATION
-        reasons = tuple(violations)
-    elif contradictions:
-        outcome = CONTRADICTION
-        reasons = tuple(contradictions)
-    else:
-        outcome = NO_OBSTRUCTION
-        reasons = ()
-
+    f = facts(dataset, spins, precision_bits)
+    outcome, vanishing = CONSTRAINT_VIOLATION, None
+    reasons = tuple(reason for rule in VIOLATIONS for reason in rule(f))
+    if not reasons:
+        reasons = tuple(reason for rule in CONTRADICTIONS for reason in rule(f))
+        outcome, vanishing = CONTRADICTION if reasons else NO_OBSTRUCTION, f.vanishing
+    notes = tuple(reason for rule in NOTES for reason in rule(f))
+    sweep = None if f.k is None else tuple(lift_sweep(f.k))
     return RigidityVerdict(
-        outcome=outcome,
-        reasons=reasons,
-        notes=tuple(notes),
-        spin=spin,
-        spins=spins,
-        k=kv,
-        sweep=sweep,
-        quotient=quotient,
-        vanishing=vanishing,
+        outcome, reasons, notes, f.spin, spins, f.k, sweep, f.quotient, vanishing
     )
 
 

@@ -11,7 +11,8 @@ constraint matrix with one ``normal_form`` call per basis monomial;
 against a full matrix.  ``normal_form_layers`` builds the residual's t-layers
 from two ``normal_form`` calls, and ``character_ring`` and ``trivial_block``
 read a character's quotient ring and the trivial character's integer block
-off them, as the rank check once did.
+off them, as the rank check once did.  ``closed_form_rank`` is the Adams
+kernel rank as a formula in ``(m, n, l, d)`` and ``q``, with no matrix at all.
 """
 
 from __future__ import annotations
@@ -210,3 +211,24 @@ def trivial_block(params: InstanceParameters, q: int, layers) -> list[list[int]]
     powers, products = layers
     total, scale = len(products), q ** params.l
     return [[sum(powers[q * i][a]) - scale * sum(products[i][a]) for i in range(total)] for a in range(total)]
+
+
+def closed_form_rank(params: InstanceParameters, q: int) -> int:
+    """The rank of the Adams kernel at exponent ``q``, in closed form.
+
+    With ``m' = (m_0 - d, m_1, ...)``, ``M = sum m'``, ``N = sum n`` and ``f``
+    the order of ``q`` modulo ``p``, the rank is ``p M`` at ``q = 1``,
+    ``1 + ((p - 1)/f) #{i : m'_i - n_i > l}`` when ``p`` does not divide
+    ``q``, and ``1 + (p - 1) sum_i min(m'_i, N - n_i)`` when it does.  At a
+    character ``r != 0`` the quotient ring splits into local rings of length
+    ``m'_i``, on which ``t -> t^q`` and the multiplier are triangular; along
+    an orbit of length ``f`` their diagonal ratios multiply to 1.
+    """
+    p, n, l = params.p, params.n_vector, params.l
+    m = params.truncation().m_vector
+    if q == 1:
+        return p * sum(m)
+    if q % p:
+        order = next(e for e in range(1, p) if pow(q, e, p) == 1)
+        return 1 + (p - 1) // order * sum(1 for mi, ni in zip(m, n) if mi - ni > l)
+    return 1 + (p - 1) * sum(min(mi, sum(n) - ni) for mi, ni in zip(m, n))

@@ -6,7 +6,8 @@ span of the candidate generator.  The character rings it builds from
 ``(m, n)``, its rule for the trivial block and its residual layers are checked
 against the layers built from ``normal_form`` in ``oracles``.  The certificate
 that turns kernels modulo primes into a proven rank is driven here through its
-two recovery paths.
+two recovery paths.  The closed form of the rank in ``oracles`` is checked
+against ``adams_kernel_rank`` on the benchmark pools and on random instances.
 """
 
 import random
@@ -41,7 +42,14 @@ from equispin.repring import (
 )
 from equispin.rigidity import derive_instance, verify_sw_vanishing
 
-from oracles import annihilates, candidate_vector, character_ring, normal_form_layers, trivial_block
+from oracles import (
+    annihilates,
+    candidate_vector,
+    character_ring,
+    closed_form_rank,
+    normal_form_layers,
+    trivial_block,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from corpus import ADAMS_OVER_CAP, ADAMS_POOLS, generate  # noqa: E402
@@ -98,13 +106,14 @@ def test_dimension_133_instance():
     assert _fast(params, 2) == _oracle(params, 2) == (13, True, False)
 
 
-@pytest.mark.parametrize(
-    "params, ranks",
-    [
-        pytest.param(_params(3, (2, 2, 2), (2, 1, 1)), (18, 1, 13, 1, 1, 13), id="p3"),
-        pytest.param(_params(5, (1, 2, 2, 2, 2), (3, 1, 1, 1, 1)), (45, 1, 1, 1, 37, 1), id="p5"),
-    ],
-)
+# the kernel ranks at q = 1, ..., 6
+EXPONENT_CLASSES = [
+    pytest.param(_params(3, (2, 2, 2), (2, 1, 1)), (18, 1, 13, 1, 1, 13), id="p3"),
+    pytest.param(_params(5, (1, 2, 2, 2, 2), (3, 1, 1, 1, 1)), (45, 1, 1, 1, 37, 1), id="p5"),
+]
+
+
+@pytest.mark.parametrize("params, ranks", EXPONENT_CLASSES)
 def test_every_exponent_class(params, ranks):
     # q = 1 (mod p) makes every character a block of its own; q = 0 (mod p)
     # joins them all to the trivial one
@@ -128,6 +137,45 @@ def test_residual_is_the_matrix_product(p, m, n):
         for x, residual in zip(vectors, _residual(params, q, layers, vectors)):
             flat = [c for layer in residual for c in layer]
             assert flat == [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+# -- the closed form of the rank, an oracle in tests only -------------------------
+
+
+def test_closed_form_rank_on_benchmark_pools():
+    instances = [_params(3, m, n) for pool in ADAMS_POOLS.values() for m, n in pool]
+    assert len(instances) == 34
+    for params in instances:
+        assert closed_form_rank(params, 2) == _fast(params, 2)[0], params
+
+
+@pytest.mark.parametrize("params, ranks", EXPONENT_CLASSES)
+def test_closed_form_rank_on_every_exponent_class(params, ranks):
+    got = [closed_form_rank(params, q) for q in range(1, 7)]
+    assert got == [_fast(params, q)[0] for q in range(1, 7)] == list(ranks)
+
+
+def _random_instance(rng: random.Random, p: int) -> InstanceParameters:
+    """Dimensions ``m_i`` in 0..2, ``l`` in 0..2, ``d`` in {0, 1}, and ``n`` spread at random."""
+    d, l = rng.choice((0, 1)), rng.randint(0, 2)
+    while True:
+        m = [rng.randint(0, 2) for _ in range(p)]
+        m[0] = max(m[0], d)
+        spare = sum(m) - 1 - d - l
+        if spare >= 0:
+            break
+    n = [0] * p
+    for _ in range(spare):
+        n[rng.randrange(p)] += 1
+    return _params(p, tuple(m), tuple(n), l=l, d=d)
+
+
+def test_closed_form_rank_on_random_instances():
+    rng = random.Random(16)
+    cases = [(_random_instance(rng, p), q) for p in (3, 5, 7) for q in range(1, 10) for _ in range(9)]
+    assert sum(q % params.p == 0 for params, q in cases) >= 27
+    for params, q in cases:
+        assert closed_form_rank(params, q) == _fast(params, q)[0], (params, q)
 
 
 # -- the rings, the trivial block and the layers, against normal forms -----------

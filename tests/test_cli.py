@@ -163,6 +163,21 @@ class TestProp41Command:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "vectors",
+        [
+            ("--m", "0,2,1", "--n", "0,1,1", "--l", "0"),  # hypotheses not met
+            ("--m", "2,2,2", "--n", "2,1,1"),  # hypotheses met
+        ],
+    )
+    @pytest.mark.parametrize("q", ["0", "-1"])
+    def test_nonpositive_exponent_exits_two(self, capsys, vectors, q):
+        # the exponent is checked before the hypotheses, so both instances fail alike
+        code, out, err = run(capsys, "prop41", *vectors, "--q", q)
+        assert code == 2
+        assert out == ""
+        assert err == "error: Adams exponents must be positive integers\n"
+
+    @pytest.mark.parametrize(
         "vectors", [("--m", "2,2,2"), ("--m", "2,2,2", "--n", "2,1,1"), ("--n", "2,1,1")]
     )
     def test_file_and_vectors_exit_two(self, capsys, fermat_file, vectors):
@@ -235,6 +250,22 @@ class TestBatchMode:
         code, _, err = run(capsys, "verdict", "--batch", "/nonexistent-dir")
         assert code == 3
 
+    def test_only_json_files_in_name_order(self, capsys, tmp_path):
+        for name in ("b.json", "a.json", "c.txt", "d.JSON"):
+            (tmp_path / name).write_text(FERMAT_JSON, encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        code, out, _ = run(capsys, "kvector", "--batch", str(tmp_path), "--format", "json")
+        assert code == 0
+        assert [entry["file"] for entry in json.loads(out)["results"]] == ["a.json", "b.json"]
+
+    def test_directory_named_like_a_dataset_exits_three(self, capsys, tmp_path):
+        (tmp_path / "a.json").write_text(FERMAT_JSON, encoding="utf-8")
+        (tmp_path / "b.json").mkdir()
+        code, out, err = run(capsys, "verdict", "--batch", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+
 
 class TestSelftest:
     def test_all_pass_text(self, capsys):
@@ -276,13 +307,14 @@ def test_cli_import_leaves_mpmath_unloaded():
 
 
 def test_cli_import_footprint():
-    # the records are named tuples: importing the CLI needs none of these
-    # modules, which cost several milliseconds of every one-shot run
+    # the records are named tuples and files are read with open(): importing
+    # the CLI needs none of these modules, which cost several milliseconds of
+    # every one-shot run
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules); "
         "import equispin.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & (set(sys.modules) - before)))"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True

@@ -7,7 +7,9 @@
   odd r prime to p gives the fixed-point data of the power.  Its spin
   numbers are ``Spin'(j) = Spin(r j)``, so its defects are those of g
   relabelled, ``k'[r i mod p] = k[i]``.  Odd r keeps the parity of
-  ``a + b``, which the half-weight encoding carries.
+  ``a + b``, which the half-weight encoding carries.  g^r generates the same
+  group action, so the verdict rules reach the same outcome, with the same
+  reason anchors in the same order and the same set of note anchors.
 """
 
 import random
@@ -27,6 +29,7 @@ from equispin.dataset import (
     to_json,
 )
 from equispin.lefschetz import spin_number, spin_number_tuple
+from equispin.rigidity import verdict
 
 PRIMES = (3, 5, 7, 11)
 
@@ -98,6 +101,20 @@ def test_power_relabels_spin_numbers_and_defects(p):
                 assert twisted.value(j) == spins.value(r * j % p)
             for i in range(p):
                 assert twisted.defects[r * i % p] == spins.defects[i]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_power_keeps_outcome_and_anchors(p):
+    odd_units = [r for r in range(1, 2 * p, 2) if r != p]
+    for dataset in _datasets(p):
+        want = verdict(dataset)
+        anchors = [reason.anchor for reason in want.reasons]
+        notes = {note.anchor for note in want.notes}
+        for r in odd_units:
+            got = verdict(_power(dataset, r))
+            assert got.outcome == want.outcome, r
+            assert [reason.anchor for reason in got.reasons] == anchors, r
+            assert {note.anchor for note in got.notes} == notes, r
 
 
 @pytest.mark.parametrize("p", (3, 5))
