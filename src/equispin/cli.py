@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import rigidity
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, half_angle_csc
@@ -41,9 +42,34 @@ from .repring import InstanceParameters, RepRingElement
 MIN_PRECISION_BITS = 20
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` without the cycles its indented encoder leaves.
+
+    Takes dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and None; any other
+    value or key raises ``TypeError`` (a key in ``sorted`` or in the string encoder).
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _json_text(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload, fmt: str, render_text) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         render_text(payload)
 
@@ -317,8 +343,8 @@ def _render_selftest(payload: dict) -> None:
 # -- argument parsing -----------------------------------------------------------
 
 
-@functools.cache  # once per process; parse_args leaves the parser unchanged
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # once per process; parsing leaves the parsers unchanged
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="equispin",
         description=(
@@ -364,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", help="reproduce the headline regression values")
     st.add_argument("--format", choices=("text", "json"), default="text")
 
-    return parser
+    return parser, sub.choices
 
 
 # command -> (payload builder, text renderer)
@@ -379,8 +405,20 @@ COMMANDS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``parse_args`` of the top-level parser, with a named command parsed by its own parser."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no command, -h, an unknown word: the top level reports it
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     build, render = COMMANDS[args.command]
     if getattr(args, "batch", None):
         render = _render_batch(render)

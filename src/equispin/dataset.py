@@ -43,7 +43,7 @@ class ManifoldInvariants(namedtuple("ManifoldInvariants", "b1 b_plus signature e
 
     @property
     def is_homotopy_k3(self) -> bool:
-        return self == ManifoldInvariants.k3()
+        return self == _K3
 
     def violations(self) -> list[str]:
         out = []
@@ -56,6 +56,9 @@ class ManifoldInvariants(namedtuple("ManifoldInvariants", "b1 b_plus signature e
         if self.is_spin and self.signature % 16 != 0:
             out.append("signature of a spin manifold must be divisible by 16")
         return out
+
+
+_K3 = ManifoldInvariants.k3()
 
 
 def _rotation(name: str, l: int, p: int) -> list[str]:
@@ -140,9 +143,11 @@ class FixedPointDataset(
             out.append("homologically trivial action requires quotient_b_plus equal to b_plus")
         trivial_k3 = self.homologically_trivial and self.manifold.is_homotopy_k3
         for idx, pt in enumerate(self.isolated):
-            out.extend(f"isolated[{idx}]: {v}" for v in pt.violations(self.p))
+            if bad := pt.violations(self.p):
+                out.extend(f"isolated[{idx}]: {v}" for v in bad)
         for idx, sf in enumerate(self.surfaces):
-            out.extend(f"surfaces[{idx}]: {v}" for v in sf.violations(self.p, trivial_k3))
+            if bad := sf.violations(self.p, trivial_k3):
+                out.extend(f"surfaces[{idx}]: {v}" for v in bad)
         return out
 
 
@@ -173,14 +178,15 @@ def _require_list(document: dict, key: str, errors: list[str]) -> list:
     return value
 
 
-def _check_keys(cls, item, prefix: str, errors: list[str]) -> bool:
+def _check_keys(cls, item, errors: list[str], key: str, idx: int | None = None) -> bool:
     """Whether ``item`` is an object with exactly the fields of ``cls``; records why not."""
+    names = _schema(cls).keys()
+    if isinstance(item, dict) and item.keys() == names:
+        return True
+    prefix = key if idx is None else f"{key}[{idx}]"  # formatted only on a failure
     if not isinstance(item, dict):
         errors.append(f"{prefix} must be an object")
         return False
-    names = _schema(cls).keys()
-    if item.keys() == names:
-        return True
     unknown = item.keys() - names
     missing = names - item.keys()
     if unknown:
@@ -190,10 +196,15 @@ def _check_keys(cls, item, prefix: str, errors: list[str]) -> bool:
     return False
 
 
-def _build(cls, item: dict, prefix: str, errors: list[str]):
-    """``cls`` from an object whose keys passed :func:`_check_keys`, fields type-checked."""
-    schema = _schema(cls).items()
-    return cls(*(_require(item[n], f"{prefix}.{n}", kind, errors) for n, kind in schema))
+def _build(cls, item: dict, errors: list[str], key: str, idx: int | None = None):
+    """``cls`` from an object whose keys passed :func:`_check_keys`; None if a type is wrong."""
+    values = [item[n] for n in cls._fields]
+    if tuple([type(v) for v in values]) == cls._kinds:  # from a list: see normalize_half_weights
+        return cls._make(values)
+    prefix = key if idx is None else f"{key}[{idx}]"  # formatted only on a failure
+    for n, kind, value in zip(cls._fields, cls._kinds, values):
+        _require(value, f"{prefix}.{n}", kind, errors)
+    return None
 
 
 def _parse_components(document: dict, key: str, cls, errors: list[str]) -> list:
@@ -204,9 +215,8 @@ def _parse_components(document: dict, key: str, cls, errors: list[str]) -> list:
     """
     out = []
     for idx, item in enumerate(_require_list(document, key, errors)):
-        prefix = f"{key}[{idx}]"
-        if _check_keys(cls, item, prefix, errors):
-            out.append(_build(cls, item, prefix, errors))
+        if _check_keys(cls, item, errors, key, idx):
+            out.append(_build(cls, item, errors, key, idx))
     return out
 
 
@@ -241,10 +251,10 @@ def parse_dataset(document) -> FixedPointDataset:
     schema = _schema(FixedPointDataset).items()
     scalars = {n: _require(document[n], n, kind, errors) for n, kind in schema if kind}
     man_doc = document["manifold"]
-    _check_keys(ManifoldInvariants, man_doc, "manifold", errors)
+    _check_keys(ManifoldInvariants, man_doc, errors, "manifold")
     if errors:
         raise DatasetError(errors)
-    manifold = _build(ManifoldInvariants, man_doc, "manifold", errors)
+    manifold = _build(ManifoldInvariants, man_doc, errors, "manifold")
     points = _parse_components(document, "isolated", IsolatedPoint, errors)
     surfaces = _parse_components(document, "surfaces", FixedSurface, errors)
     if errors:
@@ -323,16 +333,18 @@ def normalize_half_weights(
     sign -1 shifts it by p.  The residues stay nonzero mod p.
     """
     p = dataset.p
-    points = tuple(
+    # each tuple from a list: one built from a generator is shrunk after filling, and a
+    # shrunk tuple that dies stays on CPython's free lists until a full collection
+    points = tuple([
         HalfWeightPoint(pt.l_alpha + (p if pt.epsilon == 1 else 0), pt.l_beta)
         for pt in dataset.isolated
-    )
-    surfaces = tuple(
+    ])
+    surfaces = tuple([
         HalfWeightSurface(
             sf.l_theta + (p if sf.epsilon == -1 else 0), sf.self_intersection, sf.genus
         )
         for sf in dataset.surfaces
-    )
+    ])
     return points, surfaces
 
 

@@ -347,11 +347,11 @@ def orbit_signature_p3(signature: int, surface_sum: int, f1: int, f2: int) -> Fr
     """Exact orbit-space signature of an order-3 action from the aggregates of its fixed set.
 
     ``3 sigma(X/G) = sigma(X) + (8/3) * sum <F,F> + (2/3) (f1 - f2)``; the
-    surface coefficient is ``csc^2(pi/3) + csc^2(2pi/3) = 8/3``.  The result
-    is returned as an exact rational; integrality is the caller's check (a
+    surface coefficient is ``csc^2(pi/3) + csc^2(2pi/3) = 8/3``.  The result,
+    an integer over 9, is exact; integrality is the caller's check (a
     non-integral value is itself an obstruction).
     """
-    return (signature + Fraction(8, 3) * surface_sum + Fraction(2, 3) * (f1 - f2)) / 3
+    return Fraction(3 * signature + 8 * surface_sum + 2 * (f1 - f2), 9)
 
 
 def euler_quotient_p3(dataset: FixedPointDataset) -> Fraction:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism, batch mode."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equispin import cli, rigidity
 from equispin.cli import main
 from equispin.dataset import fermat_quartic, to_json
 
@@ -357,3 +361,131 @@ class TestPrecisionBound:
         assert default == run(capsys, "verdict", irrational_file, "--precision", "80", "--format", "json")
         # nstr keeps 80 * 3 // 10 = 24 significant digits
         assert json.loads(default[1])["spin"]["estimate"] == "-0.54066439330256893938527"
+
+
+USAGE = (
+    "usage: equispin [-h]\n"
+    "                {spin,quotient,kvector,verdict,enumerate,prop41,selftest} ...\n"
+)
+TOP_HELP = USAGE + """
+Exact equivariant index invariants for odd-prime cyclic actions on spin
+4-manifolds
+
+positional arguments:
+  {spin,quotient,kvector,verdict,enumerate,prop41,selftest}
+    spin                spin number of a dataset at a chosen power
+    quotient            orbit-space signature and Euler characteristic
+    kvector             eigenspace-defect vector from the spin numbers
+    verdict             full constraint pipeline with reason chain
+    enumerate           pseudofree point-type counts for order 3
+    prop41              Adams-kernel vanishing verification
+    selftest            reproduce the headline regression values
+
+options:
+  -h, --help            show this help message and exit
+"""
+VERDICT_HELP = """usage: equispin verdict [-h] [--batch DIR] [--format {text,json}]
+                        [--precision BITS]
+                        [input]
+
+positional arguments:
+  input                 dataset JSON file
+
+options:
+  -h, --help            show this help message and exit
+  --batch DIR           evaluate every *.json dataset in DIR
+  --format {text,json}
+  --precision BITS      bits for advisory numeric estimates (at least 20)
+"""
+# (exit status, stdout, stderr) at 80 columns, recorded when every argv went
+# through the top-level parse_args; the same under CPython 3.10.13, 3.11.7,
+# 3.12.1 and 3.13.0
+ARGPARSE_EDGES = {
+    "no-arguments": (
+        [], 2, "", USAGE + "equispin: error: the following arguments are required: command\n"
+    ),
+    "help": (["-h"], 0, TOP_HELP, ""),
+    "unknown-command": (
+        ["bogus"],
+        2,
+        "",
+        USAGE
+        + "equispin: error: argument command: invalid choice: 'bogus' (choose from 'spin', "
+        "'quotient', 'kvector', 'verdict', 'enumerate', 'prop41', 'selftest')\n",
+    ),
+    "command-help": (["verdict", "-h"], 0, VERDICT_HELP, ""),
+    "unrecognized-arguments": (
+        ["verdict", "FILE", "--bogus", "y"],
+        2,
+        "",
+        USAGE + "equispin: error: unrecognized arguments: --bogus y\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGPARSE_EDGES))
+def test_argparse_edges_are_unchanged(name, capsys, monkeypatch, fermat_file):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, want_code, want_out, want_err = ARGPARSE_EDGES[name]
+    argv = [fermat_file if word == "FILE" else word for word in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == (want_code, want_out, want_err)
+
+
+def test_module_entry_point_prints_the_in_process_bytes(capsys, fermat_file):
+    # argv=None: the arguments come from sys.argv
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["verdict", fermat_file, "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, "-m", "equispin.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert run(capsys, *argv) == (0, result.stdout, "")
+
+
+TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\n\t\x7fé€\u2028\U0001f600')
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda n: n * (-1) ** (n % 2))
+    | TEXT,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(TEXT, children)
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, {"a": [0.0]}, {1: "a"}, {"a": {None: 1}}, {("a",): 1}, {"a": 1, 2: 3}, {1, 2}, b"x"],
+        ids=repr,
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_emit_leaves_no_cyclic_garbage(self, capsys):
+        report = rigidity.verdict_report(rigidity.verdict(fermat_quartic()))
+        gc.collect()
+        gc.disable()
+        try:
+            cli._emit(report, "json", None)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert json.loads(capsys.readouterr().out) == report

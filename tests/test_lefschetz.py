@@ -20,6 +20,7 @@ from equispin.lefschetz import (
     NonIntegralDefectError,
     euler_quotient_p3,
     k_vector,
+    orbit_signature_p3,
     signature_quotient_p3,
     spin_index,
     spin_number,
@@ -168,6 +169,17 @@ class TestQuotients:
         )
         assert euler_quotient_p3(d) == Fraction(28, 3)
         assert euler_quotient_p3(d).denominator != 1
+
+    def test_orbit_signature_equals_the_g_signature_formula(self):
+        # (sigma + (8/3) sum F.F + (2/3) (f1 - f2)) / 3, term by term
+        for sigma in (-32, -16, 0, 16):
+            for surface_sum in range(-6, 7):
+                for f1 in range(13):
+                    for f2 in range(13):
+                        want = (
+                            sigma + Fraction(8, 3) * surface_sum + Fraction(2, 3) * (f1 - f2)
+                        ) / 3
+                        assert orbit_signature_p3(sigma, surface_sum, f1, f2) == want
 
     def test_wrong_order(self):
         d = FixedPointDataset(5, K3, 3, False)

@@ -29,9 +29,49 @@ from equispin.dataset import (
     to_json,
 )
 from equispin.lefschetz import spin_number, spin_number_tuple
-from equispin.rigidity import verdict
+from equispin.rigidity import CONTRADICTION, NO_OBSTRUCTION, verdict
 
 PRIMES = (3, 5, 7, 11)
+K3 = ManifoldInvariants.k3()
+# the spin number of each Galois orbit in the orbit datasets; the sums of
+# these shapes give integral defects, unlike most random data above p = 3
+ORBIT_SHAPES = {5: (2,), 7: (-4, -4, -4)}
+
+
+def _orbit(a: int, b: int, eps: int, p: int) -> list[IsolatedPoint]:
+    """The Galois orbit of one isolated point, as p - 1 points.
+
+    The point is encoded by its half weights ``(a + p [eps = 1], b)`` mod 2p;
+    the automorphism ``z -> z^r`` of ``Q(z_2p)`` (r odd, prime to p) multiplies
+    both, and a second weight pushed past p moves its shift to the first.
+    """
+    n = 2 * p
+    first, second = a + (p if eps == 1 else 0), b
+    out = []
+    for r in range(1, p):
+        odd = r if r % 2 else r + p
+        aa, bb = odd * first % n, odd * second % n
+        if bb > p:
+            aa, bb = (aa + p) % n, bb - p
+        out.append(IsolatedPoint(aa - p, bb, 1) if aa > p else IsolatedPoint(aa, bb, -1))
+    return out
+
+
+def _orbit_datasets(p: int) -> list[FixedPointDataset]:
+    """Isolated points forming Galois orbits of the spin numbers ``ORBIT_SHAPES[p]``.
+
+    The same points are flagged non-trivial and homologically trivial.
+    """
+    rng = random.Random(2000 + p)
+    generators = [(a, b, eps) for a in range(1, p) for b in range(1, p) for eps in (1, -1)]
+    points = []
+    for value in ORBIT_SHAPES[p]:
+        orbit = _orbit(*rng.choice(generators), p)
+        while spin_number(FixedPointDataset(p, K3, 3, False, isolated=orbit), 1) != value:
+            orbit = _orbit(*rng.choice(generators), p)
+        points += orbit
+    rng.shuffle(points)
+    return [FixedPointDataset(p, K3, 3, trivial, isolated=points) for trivial in (False, True)]
 
 
 def _datasets(p: int) -> list[FixedPointDataset]:
@@ -41,7 +81,9 @@ def _datasets(p: int) -> list[FixedPointDataset]:
         out += engineered_trivial_datasets()
     if p == 7:
         points = tuple(IsolatedPoint(*pt) for pt in P7_ORBIT_POINTS)
-        out.append(FixedPointDataset(7, ManifoldInvariants.k3(), 3, False, isolated=points))
+        out += [FixedPointDataset(7, K3, 3, trivial, isolated=points) for trivial in (False, True)]
+    if p in ORBIT_SHAPES:
+        out += _orbit_datasets(p)
     return out
 
 
@@ -101,6 +143,13 @@ def test_power_relabels_spin_numbers_and_defects(p):
                 assert twisted.value(j) == spins.value(r * j % p)
             for i in range(p):
                 assert twisted.defects[r * i % p] == spins.defects[i]
+
+
+def test_datasets_reach_the_rules_above_three():
+    # without the orbit datasets every p = 5 dataset stops at defect-integrality
+    outcomes = {p: {verdict(d).outcome for d in _datasets(p)} for p in ORBIT_SHAPES}
+    assert NO_OBSTRUCTION in outcomes[5]
+    assert {NO_OBSTRUCTION, CONTRADICTION} <= outcomes[7]
 
 
 @pytest.mark.parametrize("p", PRIMES)
