@@ -10,9 +10,9 @@ build their payload per dataset file; with ``--batch DIR`` they build one per
 that fails.
 
 Exit codes: 0 for a completed evaluation (a Contradiction outcome is a
-successful computation, not an error), 2 for invalid input (any
-``ValueError``), 3 for I/O failures (any ``OSError``).  Reports are
-byte-deterministic for identical inputs and flags.
+successful computation, not an error), 1 for a self-test with a failed item,
+2 for invalid input (any ``ValueError``), 3 for I/O failures (any
+``OSError``).  Reports are byte-deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -423,14 +423,15 @@ def main(argv=None) -> int:
     if getattr(args, "batch", None):
         render = _render_batch(render)
     try:
-        _emit(build(args), args.format, render)
+        payload = build(args)
+        _emit(payload, args.format, render)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # DatasetError and NonIntegralDefectError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return 1 if args.command == "selftest" and not payload["passed"] else 0
 
 
 if __name__ == "__main__":

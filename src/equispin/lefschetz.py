@@ -10,10 +10,10 @@ zeta_p``, slot 0 the full index ``-sigma/8``) are
 
 a sum of small rational tables, one per fixed component: ``T(p, a, b)`` for
 an isolated point and ``S(p, c)`` per unit of self-intersection of a fixed
-surface, in the cotangent-sum style of Hirzebruch-Zagier.  The tables are
-built once per residue from ``1/(1 - nu^a) = -(1/p) sum_r r nu^(a r)``
-with integer convolutions only; no field inversion or linear solve is
-involved.
+surface, in the cotangent-sum style of Hirzebruch-Zagier.  Each table is
+built once per residue from the product of two ``1/(1 - nu^x)`` factors,
+whose integer coefficients follow a Dedekind-sum recurrence in O(p) steps;
+no field inversion, convolution or linear solve is involved.
 
 Everything else is derived from the defect vector.  A
 :class:`SpinNumberTuple` holds it, and ``Spin(j) = sum_i k_i nu^(i j)`` is
@@ -80,29 +80,28 @@ def _surface_factor(p: int, j: int, c: int) -> CyclotomicNumber:
 # A component's first-power term V is kept as an integer vector x over the
 # exponents of nu, V = (weight / (2 p^2)) sum_m x_m nu^m.  With z = zeta_2p
 # and nu = z^2, z^x - z^(-x) = -z^(-x) (1 - nu^x), and each 1/(1 - nu^a) is
-# -(1/p) times the vector r -> r at exponent a r.  The table entry is
-# (1/p) Tr(nu^(-i) V), and Tr(nu^e) is p - 1 at e = 0 and -1 elsewhere.
-# Tables hold integer numerators over the shared denominator 2 p^3, so that
-# summing them over a fixed set is integer addition, not Fraction arithmetic.
+# -(1/p) times the vector r -> r at exponent a r, so a product of two is
+# x_m = sum_r r ((b^-1 (m - a r)) mod p).  Shifting m by a moves r by one,
+# which gives x_(m+a) = x_m + p(p - 1)/2 - p ((b^-1 (m + a)) mod p): the
+# Dedekind-sum recurrence (Rademacher-Grosswald, Dedekind Sums, 1972).
+# The table entry is (1/p) Tr(nu^(-i) V), and Tr(nu^e) is p - 1 at e = 0
+# and -1 elsewhere.  Tables hold integer numerators over the shared
+# denominator 2 p^3, so that summing them over a fixed set is integer
+# addition, not Fraction arithmetic.
 
 
-def _over_one_minus(p: int, a: int) -> list[int]:
-    """``-p / (1 - nu^a)`` as an exponent vector: coefficient r at exponent ``a r``."""
-    out = [0] * p
-    for r in range(p):
-        out[a * r % p] = r
-    return out
-
-
-def _times(u: list[int], v: list[int]) -> list[int]:
-    """Product of two exponent vectors in ``Z[nu]`` (a cyclic convolution)."""
-    p = len(u)
-    out = [0] * p
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                out[(i + j) % p] += x * y
-    return out
+def _pair(p: int, a: int, b: int) -> list[int]:
+    """``(-p / (1 - nu^a)) (-p / (1 - nu^b))`` as an exponent vector, in O(p) steps."""
+    b_inv = pow(b, -1, p)
+    half = p * (p - 1) // 2
+    x = [0] * p
+    m = 0
+    value = sum(r * (-a * b_inv * r % p) for r in range(p))
+    for _ in range(p):  # a is a unit, so m = 0, a, 2a, ... meets every residue once
+        x[m] = value
+        m = (m + a) % p
+        value += half - p * (b_inv * m % p)
+    return x
 
 
 def _table(x: list[int], shift: int, weight: int) -> tuple[int, ...]:
@@ -124,7 +123,7 @@ def _point_table(p: int, a: int, b: int) -> tuple[int, ...]:
     """
     aa, sign = _even_class(p, a, (a + b) % 2)
     bb = b % (2 * p)
-    x = _times(_over_one_minus(p, aa % p), _over_one_minus(p, bb % p))
+    x = _pair(p, aa % p, bb % p)
     return _table(x, (aa + bb) // 2, -2 * sign)
 
 
@@ -136,8 +135,7 @@ def _surface_table(p: int, c: int) -> tuple[int, ...]:
     for the even-class residue ``c'``.
     """
     cc, sign = _even_class(p, c, c % 2)
-    w = _over_one_minus(p, cc % p)
-    sq = _times(w, w)
+    sq = _pair(p, cc % p, cc % p)
     x = [sq[m] + sq[(m - cc) % p] for m in range(p)]
     return _table(x, cc // 2, -sign)
 

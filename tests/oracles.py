@@ -13,6 +13,9 @@ from two ``normal_form`` calls, and ``character_ring`` and ``trivial_block``
 read a character's quotient ring and the trivial character's integer block
 off them, as the rank check once did.  ``closed_form_rank`` is the Adams
 kernel rank as a formula in ``(m, n, l, d)`` and ``q``, with no matrix at all.
+``convolved_pair`` builds the product ``(-p/(1 - nu^a)) (-p/(1 - nu^b))`` that
+the defect tables start from as an O(p^2) cyclic convolution of the two
+factors' exponent vectors, as the tables once did.
 """
 
 from __future__ import annotations
@@ -232,3 +235,20 @@ def closed_form_rank(params: InstanceParameters, q: int) -> int:
         order = next(e for e in range(1, p) if pow(q, e, p) == 1)
         return 1 + (p - 1) // order * sum(1 for mi, ni in zip(m, n) if mi - ni > l)
     return 1 + (p - 1) * sum(min(mi, sum(n) - ni) for mi, ni in zip(m, n))
+
+
+def convolved_pair(p: int, a: int, b: int) -> list[int]:
+    """``(-p / (1 - nu^a)) (-p / (1 - nu^b))`` as an exponent vector in ``Z[nu]``.
+
+    Each factor is the vector with coefficient r at exponent ``a r``; their
+    product is the cyclic convolution of the two vectors: row i adds
+    ``u[i]`` times v rotated by i.
+    """
+    u, v = [0] * p, [0] * p
+    for r in range(p):
+        u[a * r % p] = r
+        v[b * r % p] = r
+    out = [0] * p
+    for i, x in enumerate(u):
+        out = [acc + x * y for acc, y in zip(out, v[-i:] + v[:-i])]
+    return out

@@ -295,6 +295,22 @@ class TestSelftest:
         tampered = ManifoldInvariants(b1=0, b_plus=3, signature=-8, euler=16, is_spin=True)
         assert spin_index(tampered) == 1 != 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_item_exits_one_with_full_report(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "spin_index", lambda manifold: 1)
+        code, out, err = run(capsys, "selftest", "--format", fmt)
+        assert code == 1
+        assert err == ""
+        if fmt == "text":
+            assert "FAIL spin-index-k3 (index 1)" in out
+            assert out.endswith("FAILURES present\n")
+            assert out.count("PASS ") == len(cli._selftest_items()) - 1
+        else:
+            payload = json.loads(out)
+            assert payload["passed"] is False
+            failed = [item["name"] for item in payload["items"] if not item["passed"]]
+            assert failed == ["spin-index-k3"]
+
 
 def test_cli_import_leaves_mpmath_unloaded():
     # mpmath is needed only for the advisory estimates of irrational spin numbers

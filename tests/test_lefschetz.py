@@ -1,6 +1,7 @@
 """Spin numbers, defect vectors, and order-3 quotient invariants."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,7 @@ from equispin.cyclo import CyclotomicNumber
 from equispin.dataset import (
     FixedPointDataset,
     FixedSurface,
+    IsolatedPoint,
     ManifoldInvariants,
     fermat_quartic,
 )
@@ -30,6 +32,7 @@ from equispin.lefschetz import (
 )
 
 from conftest import random_dataset
+from oracles import convolved_pair
 
 K3 = ManifoldInvariants.k3()
 
@@ -245,6 +248,26 @@ class TestDefectTables:
             table = lefschetz._surface_table(p, c)
             got = tuple(Fraction(v, denominator) for v in table)
             assert got == oracle(lefschetz._surface_factor(p, 1, c)), c
+
+    def test_pair_matches_convolution(self):
+        # the O(p) recurrence against the O(p^2) convolution oracle
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for a in range(1, p):
+                for b in range(1, p):
+                    assert lefschetz._pair(p, a, b) == convolved_pair(p, a, b), (p, a, b)
+        rng = random.Random(1009)
+        for _ in range(20):
+            a, b = rng.randrange(1, 1009), rng.randrange(1, 1009)
+            assert lefschetz._pair(1009, a, b) == convolved_pair(1009, a, b), (a, b)
+
+    def test_large_prime_table_is_linear_in_p(self):
+        # an O(p^2) build of this one table takes seconds at p = 10007
+        d = FixedPointDataset(10007, K3, 3, False, isolated=(IsolatedPoint(7, 3, 1),))
+        lefschetz._point_table.cache_clear()
+        started = time.perf_counter()
+        defects = lefschetz.defect_vector(d)
+        assert time.perf_counter() - started < 0.5
+        assert defects[0] == Fraction(-393408, 10007)
 
     def test_tuple_matches_per_power_oracle(self):
         rng = random.Random(83)

@@ -371,6 +371,48 @@ P7_ORBIT_POINTS = (
 )
 
 
+def _nonsymplectic_quartic(eps_point: int, eps_surface: int) -> FixedPointDataset:
+    """The order-3 non-symplectic quartic x0^3 x1 + f4(x1, x2, x3) = 0, one spin-sign choice.
+
+    The action multiplies x0 by a cube root of unity.  Its fixed set is the
+    point (1:0:0:0) and the plane quartic curve x0 = 0 (genus 3, <F,F> = 4).
+    """
+    return FixedPointDataset(
+        3,
+        K3,
+        1,
+        False,
+        isolated=(IsolatedPoint(2, 2, eps_point),),
+        surfaces=(FixedSurface(4, 3, 1, eps_surface),),
+    )
+
+
+class TestNonSymplecticQuartic:
+    @pytest.mark.parametrize(
+        "eps_point, eps_surface, defect",
+        [(1, 1, "8/9"), (-1, 1, "4/3"), (-1, -1, "4/9")],
+    )
+    def test_three_sign_choices_have_non_integral_defects(self, eps_point, eps_surface, defect):
+        v = verdict(_nonsymplectic_quartic(eps_point, eps_surface))
+        assert v.outcome == CONSTRAINT_VIOLATION
+        assert [r.anchor for r in v.reasons] == ["defect-integrality"]
+        assert v.reasons[0].detail.endswith(f"defect 0 is not an integer: {defect}")
+        assert v.k is None and v.vanishing is None
+
+    def test_one_sign_choice_has_no_obstruction(self):
+        v = verdict(_nonsymplectic_quartic(1, -1))
+        assert v.outcome == NO_OBSTRUCTION
+        assert v.spin.rational and v.spin.value == -1 and v.spin.sign == SIGN_NEGATIVE
+        assert v.k.k == (0, 1, 1)
+        q = v.quotient
+        assert (q["sigma"], q["euler"], q["b_plus"], q["b_minus"]) == (-2, 6, 1, 3)
+        assert q["integral"]
+        assert not any(r.anchor.startswith("sw-") for r in v.reasons + v.notes)
+        report = verdict_report(v)
+        assert report["reasons"] == [] and report["prop41"] is None
+        assert [n["anchor"] for n in report["notes"]] == ["nontrivial-action"]
+
+
 class TestDefectFirstClassification:
     def test_first_spin_class_matches_value_class(self):
         rng = random.Random(103)
