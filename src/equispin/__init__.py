@@ -45,7 +45,6 @@ from .repring import (
     InstanceParameters,
     RepRingElement,
     TruncationIdeal,
-    adams,
     extract_sw,
     normal_form,
     parity_obstruction,
@@ -99,7 +98,6 @@ __all__ = [
     "InstanceParameters",
     "RepRingElement",
     "TruncationIdeal",
-    "adams",
     "extract_sw",
     "normal_form",
     "parity_obstruction",

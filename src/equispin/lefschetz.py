@@ -18,7 +18,10 @@ no field inversion, convolution or linear solve is involved.
 Everything else is derived from the defect vector.  A
 :class:`SpinNumberTuple` holds it, and ``Spin(j) = sum_i k_i nu^(i j)`` is
 written straight into power-basis coordinates at conductor p when a value
-is asked for.  Integrality of the defects is checked by :func:`k_vector`.
+is asked for: since ``nu^(p-1) = -(1 + nu + ... + nu^(p-2))``, the
+coordinate at ``nu^e`` (``e`` in ``0..p-2``) is ``k_(e/j) - k_((p-1)/j)``,
+indices mod p, and ``Spin(0) = sum_i k_i``.  Integrality of the defects is
+checked by :func:`k_vector`.
 The literal per-power evaluation in ``Q(zeta_2p)`` (:func:`spin_number`)
 and the trigonometric formula (:func:`spin_number_from_angles`) stay as
 independent oracles, off the verdict path.  The order-3 quotient formulas
@@ -40,7 +43,7 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, _reduce_coeffs, _scatter, half_angle_cos, half_angle_csc
+from .cyclo import CyclotomicNumber, half_angle_cos, half_angle_csc
 from .dataset import FixedPointDataset, ManifoldInvariants, count_p3_types, normalize_half_weights
 
 
@@ -219,11 +222,16 @@ class SpinNumberTuple(namedtuple("SpinNumberTuple", "p defects")):
     __slots__ = ()
 
     def value(self, j: int) -> CyclotomicNumber:
-        """``Spin(j)`` at its minimal conductor (1 or p), from ``k_i`` at exponent ``i j``."""
-        coeffs = _reduce_coeffs(self.p, _scatter(self.p, self.defects, j))
+        """``Spin(j)`` at its minimal conductor (1 or p): ``k_(e/j) - k_((p-1)/j)`` at ``nu^e``."""
+        p, k = self
+        if j % p == 0:
+            return CyclotomicNumber.from_rational(sum(k))
+        step = pow(j, -1, p)
+        last = k[(p - 1) * step % p]
+        coeffs = [k[e * step % p] - last for e in range(p - 1)]
         if not any(coeffs[1:]):
             return CyclotomicNumber.from_rational(coeffs[0])
-        return CyclotomicNumber(self.p, coeffs)
+        return CyclotomicNumber(p, coeffs)
 
     @property
     def values(self) -> tuple[CyclotomicNumber, ...]:
@@ -272,50 +280,17 @@ class KVector(namedtuple("KVector", "p k")):
         return KVector(p, k[q:] + k[:q])
 
 
-def k_vector(spins: SpinNumberTuple | list | tuple) -> KVector:
-    """The integer eigenspace defects of a spin-number tuple.
+def k_vector(spins: SpinNumberTuple) -> KVector:
+    """The integer eigenspace defects ``k_i = (1/p) sum_j nu^(-i j) Spin(j)`` of a tuple.
 
-    ``k_i = (1/p) * sum_j nu^(-i j) * Spin(j)`` with slot 0 carrying the
-    full index.  A :class:`SpinNumberTuple` already holds them; a plain
-    sequence of values is inverted exactly.  Raises
-    :class:`NonIntegralDefectError` at the first coordinate that is not a
-    (rational) integer: the candidate dataset is then inconsistent.
+    Slot 0 carries the full index.  Raises :class:`NonIntegralDefectError` at
+    the first defect that is not an integer: the candidate dataset is then
+    inconsistent.
     """
-    if isinstance(spins, SpinNumberTuple):
-        p, defects = spins.p, spins.defects
-    else:
-        p, defects = len(spins), _fourier_inverse(tuple(spins))
-    for i, value in enumerate(defects):
-        if value is None:
-            raise NonIntegralDefectError(f"defect {i} is not rational")
+    for i, value in enumerate(spins.defects):
         if value.denominator != 1:
             raise NonIntegralDefectError(f"defect {i} is not an integer: {value}")
-    return KVector(p, tuple(int(v) for v in defects))
-
-
-def _fourier_inverse(values: tuple) -> list[Fraction | None]:
-    """``(1/p) sum_j nu^(-i j) values[j]`` for each i; None where it is irrational."""
-    p = len(values)
-    embedded = []
-    for v in values:
-        if isinstance(v, CyclotomicNumber):
-            v = v.reduced()
-            if p % v.conductor != 0:
-                raise NonIntegralDefectError(
-                    f"spin number of conductor {v.conductor} does not live at conductor {p}"
-                )
-            embedded.append(v.embed(p))
-        else:
-            embedded.append(CyclotomicNumber.from_rational(v, p))
-    nu = CyclotomicNumber.zeta(p)
-    out = []
-    for i in range(p):
-        acc = CyclotomicNumber.from_rational(0, p)
-        for j, v in enumerate(embedded):
-            acc = acc + nu ** ((-i * j) % p) * v
-        acc = acc * Fraction(1, p)
-        out.append(acc.to_rational() if acc.is_rational() else None)
-    return out
+    return KVector(*spins)
 
 
 def synthesize_spins(kv: KVector) -> SpinNumberTuple:

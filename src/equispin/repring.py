@@ -209,11 +209,6 @@ class RepRingElement:
         return f"RepRingElement({self.p}, {' + '.join(bits)})"
 
 
-def adams(q: int, element: RepRingElement) -> RepRingElement:
-    """Module-level spelling of :meth:`RepRingElement.adams`."""
-    return element.adams(q)
-
-
 def one_minus_t_xi(p: int, i: int) -> RepRingElement:
     """The factor ``1 - t*xi^i``."""
     return RepRingElement(p, {(0, 0): 1, (1, i % p): -1})

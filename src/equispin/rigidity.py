@@ -89,40 +89,25 @@ def _rational_class(value: Fraction) -> SpinClass:
     return SpinClass(rational=True, value=value, sign=sign)
 
 
-def classify_spin(value: CyclotomicNumber, precision_bits: int = 80) -> SpinClass:
-    """Classify a (real) spin number by exact rationality and sign.
+def classify_spin(spins: SpinNumberTuple, j: int = 1, precision_bits: int = 80) -> SpinClass:
+    """Classify ``Spin(j)`` by exact rationality and sign, read off the defect vector.
 
-    Irrational values get sign ``unknown-irrational`` plus an advisory
-    numeric estimate; the exact pipeline never branches on the estimate.
-    """
-    if not value.is_real():
-        raise ValueError("spin numbers are real; got a non-real value")
-    reduced = value.reduced()
-    if reduced.is_rational():
-        return _rational_class(reduced.to_rational())
-    return SpinClass(
-        rational=False,
-        value=None,
-        sign=SIGN_UNKNOWN,
-        estimate=numeric_estimate(reduced, precision_bits),
-    )
-
-
-def classify_first_spin(spins: SpinNumberTuple, precision_bits: int = 80) -> SpinClass:
-    """:func:`classify_spin` of ``Spin(1)``, read off the defect vector.
-
-    ``Spin(1) = sum_i k_i nu^i`` is rational exactly when ``k_1 = ... =
-    k_(p-1)``, and its value is then ``k_0 - k_1``; only an irrational
-    value is built, for its advisory estimate.
+    ``Spin(0) = sum_i k_i``.  Every other ``Spin(j) = sum_i k_i nu^(i j)`` is a
+    Galois conjugate of ``Spin(1)``, so it is rational exactly when ``k_1 =
+    ... = k_(p-1)``, and its value is then ``k_0 - k_1``.  Only an irrational
+    value is built, for its advisory numeric estimate (sign
+    ``unknown-irrational``); the exact pipeline never branches on it.
     """
     k = spins.defects
+    if j % spins.p == 0:
+        return _rational_class(sum(k))
     if all(v == k[1] for v in k[2:]):
         return _rational_class(k[0] - k[1])
     return SpinClass(
         rational=False,
         value=None,
         sign=SIGN_UNKNOWN,
-        estimate=numeric_estimate(spins.value(1), precision_bits),
+        estimate=numeric_estimate(spins.value(j), precision_bits),
     )
 
 
@@ -205,7 +190,9 @@ def check_k_constraints(kv: KVector, spin: SpinClass, quotient_b_plus: int) -> l
     return out
 
 
-def lift_sweep(source: FixedPointDataset | KVector) -> list[tuple[int, KVector, SpinClass]]:
+def lift_sweep(
+    source: FixedPointDataset | KVector, precision_bits: int = 80
+) -> list[tuple[int, KVector, SpinClass]]:
     """Defect vectors and implied spin classes of all p alternative lifts.
 
     Multiplying the lift by a primitive p-th root of unity cyclically
@@ -214,7 +201,8 @@ def lift_sweep(source: FixedPointDataset | KVector) -> list[tuple[int, KVector, 
     ``sum_i k_(q+i) nu^i``.  That value is real exactly when
     ``k_(q+i) = k_(q-i)`` for all i; a non-real one (the general case for a
     nonzero shift) is unclassifiable beyond irrationality.  A dataset is
-    first reduced to its defect vector.
+    first reduced to its defect vector.  ``precision_bits`` sets the advisory
+    estimates, as in :func:`classify_spin`.
     """
     kv = source if isinstance(source, KVector) else k_vector(spin_number_tuple(source))
     p = kv.p
@@ -223,7 +211,7 @@ def lift_sweep(source: FixedPointDataset | KVector) -> list[tuple[int, KVector, 
         shifted = kv.shifted(q)
         k = shifted.k
         if all(k[i] == k[p - i] for i in range(1, p)):
-            cls = classify_first_spin(synthesize_spins(shifted))
+            cls = classify_spin(synthesize_spins(shifted), 1, precision_bits)
         else:
             cls = SpinClass(rational=False, value=None, sign=SIGN_UNKNOWN)
         out.append((q, shifted, cls))
@@ -410,7 +398,7 @@ class Facts(
 ):
     """The exact aggregates of a dataset that the verdict rules read; no field refers to it.
 
-    ``k`` is the defect vector, or None with the Fourier-inversion message in ``defect_error``.
+    ``k`` is the defect vector, or None with :func:`k_vector`'s message in ``defect_error``.
     ``fixed_euler`` is chi(F) and ``surface_sum`` the sum of the F.F; ``f1``, ``f2`` and the
     :func:`orbit_space_p3` section ``quotient`` are None unless ``p == 3``.
     """
@@ -440,7 +428,7 @@ def facts(dataset: FixedPointDataset, spins: SpinNumberTuple, precision_bits: in
         quotient = _orbit_section(sigma, euler_quotient_p3(dataset), dataset.quotient_b_plus)
     return Facts(
         p=dataset.p, manifold=dataset.manifold, trivial=dataset.homologically_trivial,
-        quotient_b_plus=dataset.quotient_b_plus, spin=classify_first_spin(spins, precision_bits),
+        quotient_b_plus=dataset.quotient_b_plus, spin=classify_spin(spins, 1, precision_bits),
         k=kv, defect_error=error, fixed_euler=fixed_set_euler(dataset), surface_sum=surface_sum,
         has_surfaces=bool(dataset.surfaces), f1=f1, f2=f2, quotient=quotient,
     )
@@ -584,7 +572,7 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
         reasons = tuple(reason for rule in CONTRADICTIONS for reason in rule(f))
         outcome, vanishing = CONTRADICTION if reasons else NO_OBSTRUCTION, f.vanishing
     notes = tuple(reason for rule in NOTES for reason in rule(f))
-    sweep = None if f.k is None else tuple(lift_sweep(f.k))
+    sweep = None if f.k is None else tuple(lift_sweep(f.k, precision_bits))
     return RigidityVerdict(
         outcome, reasons, notes, f.spin, spins, f.k, sweep, f.quotient, vanishing
     )

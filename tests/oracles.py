@@ -16,12 +16,21 @@ kernel rank as a formula in ``(m, n, l, d)`` and ``q``, with no matrix at all.
 ``convolved_pair`` builds the product ``(-p/(1 - nu^a)) (-p/(1 - nu^b))`` that
 the defect tables start from as an O(p^2) cyclic convolution of the two
 factors' exponent vectors, as the tables once did.
+
+The last two work in the cyclotomic field, where the program reads the
+defect vector instead.  ``classify_value`` classifies one spin number from
+its value: a realness check, a reduction to the minimal conductor by a
+linear solve, and a rationality test there.  ``fourier_inverse`` recovers
+the defects ``(1/p) sum_j nu^(-i j) Spin(j)`` from a list of values by
+multiplication in ``Q(zeta_p)``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+from equispin.cyclo import CyclotomicNumber
 from equispin.intlinalg import extended_gcd
 from equispin.repring import (
     InstanceParameters,
@@ -30,6 +39,7 @@ from equispin.repring import (
     adams_multiplier,
     normal_form,
 )
+from equispin.rigidity import SIGN_UNKNOWN, SpinClass, _rational_class, numeric_estimate
 
 
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
@@ -252,3 +262,40 @@ def convolved_pair(p: int, a: int, b: int) -> list[int]:
     for i, x in enumerate(u):
         out = [acc + x * y for acc, y in zip(out, v[-i:] + v[:-i])]
     return out
+
+
+def classify_value(value: CyclotomicNumber, precision_bits: int = 80) -> SpinClass:
+    """The :class:`SpinClass` of a real spin number, from its value in the field."""
+    if not value.is_real():
+        raise ValueError("spin numbers are real; got a non-real value")
+    reduced = value.reduced()
+    if reduced.is_rational():
+        return _rational_class(reduced.to_rational())
+    return SpinClass(
+        rational=False,
+        value=None,
+        sign=SIGN_UNKNOWN,
+        estimate=numeric_estimate(reduced, precision_bits),
+    )
+
+
+def fourier_inverse(values) -> tuple:
+    """``(1/p) sum_j nu^(-i j) values[j]`` for each i, with ``p = len(values)``.
+
+    Values are rationals or :class:`CyclotomicNumber` living at conductor p;
+    an irrational result is None.
+    """
+    p = len(values)
+    embedded = [
+        v.reduced().embed(p) if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v, p)
+        for v in values
+    ]
+    nu = CyclotomicNumber.zeta(p)
+    out = []
+    for i in range(p):
+        acc = CyclotomicNumber.from_rational(0, p)
+        for j, v in enumerate(embedded):
+            acc = acc + nu ** ((-i * j) % p) * v
+        acc = acc * Fraction(1, p)
+        out.append(acc.to_rational() if acc.is_rational() else None)
+    return tuple(out)

@@ -187,8 +187,8 @@ GOLDEN = {
     "quotient-random-p11-text": "02463ffbb3b3534a6518589db028cd726fa9ab5c230a1189edeeaf8218098352",
     "quotient-random-p5-json": "02463ffbb3b3534a6518589db028cd726fa9ab5c230a1189edeeaf8218098352",
     "quotient-random-p5-text": "02463ffbb3b3534a6518589db028cd726fa9ab5c230a1189edeeaf8218098352",
-    "selftest-json": "bbca3ca45d563594c024feccfbdc20345879ac9e39be4614f79a3b24c174e6b6",
-    "selftest-text": "65b575d3ec6b6480e966688e57d150368f1a77eb8d3274660ca26bb1e2b7fecc",
+    "selftest-json": "b8a3c53f4ef0f6447556a205a601ba73d319cfa8304c331c7d9ab02905e7cd4b",
+    "selftest-text": "11e8fc3346f38c2bc2a4f7464e07ecfa557b38136ee27864d673b4f2464e6c75",
     "spin-balanced--1-json": "2215fceb55f94406a268d2fc88232ae3426121e2332f45c57662ba8a4dd4b311",
     "spin-balanced--1-text": "2215fceb55f94406a268d2fc88232ae3426121e2332f45c57662ba8a4dd4b311",
     "spin-balanced-0-json": "989a89d38208d4a496a54592172d0d3dd2d4a4fbd4c60bacdec80ef11dda614f",

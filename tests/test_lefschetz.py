@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from equispin import lefschetz
+from equispin import cyclo, lefschetz
 from equispin.cyclo import CyclotomicNumber
 
 from equispin.dataset import (
@@ -20,6 +20,7 @@ from equispin.dataset import (
 from equispin.lefschetz import (
     KVector,
     NonIntegralDefectError,
+    SpinNumberTuple,
     euler_quotient_p3,
     k_vector,
     orbit_signature_p3,
@@ -32,7 +33,7 @@ from equispin.lefschetz import (
 )
 
 from conftest import random_dataset
-from oracles import convolved_pair
+from oracles import convolved_pair, fourier_inverse
 
 K3 = ManifoldInvariants.k3()
 
@@ -105,16 +106,21 @@ class TestSpinIndex:
             spin_index(ManifoldInvariants(0, 3, -12, 20, True))
 
 
+def _inverted(values) -> SpinNumberTuple:
+    """The tuple whose spin numbers are ``values``, by the field oracle's Fourier inversion."""
+    return SpinNumberTuple(len(values), fourier_inverse(values))
+
+
 class TestKVector:
     def test_uniform_spins(self):
-        assert k_vector([2, 2, 2]).k == (2, 0, 0)
+        assert k_vector(_inverted([2, 2, 2])).k == (2, 0, 0)
 
     def test_negative_spins(self):
-        assert k_vector([2, -16, -16]).k == (-10, 6, 6)
+        assert k_vector(_inverted([2, -16, -16])).k == (-10, 6, 6)
 
     def test_non_integral(self):
-        with pytest.raises(NonIntegralDefectError):
-            k_vector([2, 1, 1])
+        with pytest.raises(NonIntegralDefectError, match="defect 0 is not an integer: 4/3"):
+            k_vector(_inverted([2, 1, 1]))
 
     def test_round_trip_on_random_vectors(self):
         rng = random.Random(73)
@@ -286,14 +292,7 @@ class TestDefectTables:
             for _ in range(15):
                 d = random_dataset(rng, p=p)
                 oracle = [spin_index(d.manifold)] + [spin_number(d, j) for j in range(1, p)]
-                try:
-                    want = k_vector(oracle)
-                except NonIntegralDefectError as exc:
-                    with pytest.raises(NonIntegralDefectError) as got:
-                        k_vector(spin_number_tuple(d))
-                    assert str(got.value) == str(exc)
-                else:
-                    assert k_vector(spin_number_tuple(d)) == want
+                assert spin_number_tuple(d) == _inverted(oracle)
 
     def test_values_match_multiplied_sum(self):
         rng = random.Random(97)
@@ -315,7 +314,26 @@ class TestDefectTables:
         for p in (3, 5, 7):
             for _ in range(20):
                 kv = KVector(p, tuple(rng.randint(-6, 6) for _ in range(p)))
-                assert k_vector(list(synthesize_spins(kv).values)) == kv
+                assert k_vector(_inverted(synthesize_spins(kv).values)) == kv
+
+    def test_value_coordinates_match_the_folded_exponent_vector(self):
+        # k_(e/j) - k_((p-1)/j) at nu^e, against the generic fold of k_i at exponent i j
+        rng = random.Random(113)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for real in (True, False) * 3:
+                d = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, p))) for _ in range(p)]
+                if real:
+                    d = [d[min(i, p - i)] for i in range(p)]
+                spins = SpinNumberTuple(p, tuple(d))
+                for j in range(-1, p + 1):
+                    want = cyclo._reduce_coeffs(p, cyclo._scatter(p, d, j))
+                    got = spins.value(j)
+                    if any(want[1:]):
+                        assert (got.conductor, got.coeffs) == (p, want), (p, j)
+                    else:
+                        assert (got.conductor, got.coeffs) == (1, want[:1]), (p, j)
+            flat = SpinNumberTuple(p, (Fraction(3),) + (Fraction(-1),) * (p - 1))
+            assert all(flat.value(j) == 4 for j in range(1, p))
 
     def test_realness_check(self):
         spins = synthesize_spins(KVector(5, (2, 1, 0, 0, 0)))

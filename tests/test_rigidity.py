@@ -13,9 +13,17 @@ from equispin.dataset import (
     ManifoldInvariants,
     fermat_quartic,
 )
-from equispin import lefschetz, rigidity
+from equispin import cyclo, rigidity
 from equispin.intlinalg import integer_kernel
-from equispin.lefschetz import KVector, k_vector, spin_number, spin_number_tuple
+from equispin.lefschetz import (
+    KVector,
+    SpinNumberTuple,
+    k_vector,
+    spin_index,
+    spin_number,
+    spin_number_tuple,
+    synthesize_spins,
+)
 from equispin.repring import (
     InstanceParameters,
     RepRingElement,
@@ -31,7 +39,6 @@ from equispin.rigidity import (
     SIGN_UNKNOWN,
     SpinClass,
     check_k_constraints,
-    classify_first_spin,
     classify_spin,
     derive_instance,
     enumerate_pseudofree_p3,
@@ -42,34 +49,40 @@ from equispin.rigidity import (
 )
 
 from conftest import engineered_trivial_datasets, random_dataset
-from oracles import annihilates, candidate_vector
+from oracles import annihilates, candidate_vector, classify_value
 
 K3 = ManifoldInvariants.k3()
 
 
+def _spin_class(*k: int) -> SpinClass:
+    return classify_spin(synthesize_spins(KVector(len(k), k)))
+
+
 class TestClassifySpin:
     def test_positive(self):
-        cls = classify_spin(CyclotomicNumber.from_rational(2))
+        cls = _spin_class(2, 0, 0)
         assert cls.rational and cls.sign == SIGN_POSITIVE and cls.value == 2
 
     def test_negative(self):
-        cls = classify_spin(CyclotomicNumber.from_rational(-16))
+        cls = _spin_class(-10, 6, 6)
         assert cls.rational and cls.sign == SIGN_NEGATIVE and cls.value == -16
 
     def test_irrational(self):
-        value = half_angle_csc(1, 5) * half_angle_csc(2, 5)
-        cls = classify_spin(value)
+        # csc(pi/5) csc(2 pi/5) = 4/sqrt(5) = (4/5)(1 + 2 nu + 2 nu^4)
+        spins = SpinNumberTuple(5, (Fraction(4, 5), Fraction(8, 5), 0, 0, Fraction(8, 5)))
+        cls = classify_spin(spins)
         assert not cls.rational and cls.sign == SIGN_UNKNOWN
         assert cls.estimate is not None and cls.estimate.startswith("1.78885")
+        assert cls == classify_value(half_angle_csc(1, 5) * half_angle_csc(2, 5))
 
     def test_rejects_non_real(self):
         with pytest.raises(ValueError, match="real"):
-            classify_spin(CyclotomicNumber.zeta(3))
+            classify_value(CyclotomicNumber.zeta(3))
 
 
 class TestKConstraints:
-    POSITIVE = classify_spin(CyclotomicNumber.from_rational(2))
-    NEGATIVE = classify_spin(CyclotomicNumber.from_rational(-1))
+    POSITIVE = _spin_class(2, 0, 0)
+    NEGATIVE = _spin_class(0, 1, 1)
 
     def test_trivial_pattern_clean(self):
         assert check_k_constraints(KVector(3, (2, 0, 0)), self.POSITIVE, 3) == []
@@ -86,7 +99,7 @@ class TestKConstraints:
         assert any(r.anchor == "nonnegative-spin-pattern" for r in reasons)
 
     def test_zero_excluded(self):
-        zero = classify_spin(CyclotomicNumber.from_rational(0))
+        zero = _spin_class(1, 1, 1)
         reasons = check_k_constraints(KVector(3, (2, 0, 0)), zero, 3)
         assert any(r.anchor == "spin-zero-excluded" for r in reasons)
 
@@ -116,6 +129,16 @@ class TestLiftSweep:
         sweep = lift_sweep(fermat_quartic())
         q0 = next(entry for entry in sweep if entry[0] == 0)
         assert q0[2].sign == SIGN_POSITIVE and q0[2].value == 2
+
+    @pytest.mark.parametrize("bits", [20, 200])
+    def test_zero_shift_estimate_at_the_verdict_precision(self, bits):
+        # 48 points at p = 5, integral defects (-6, -6, 10, 10, -6), irrational spin number
+        points = (IsolatedPoint(1, 1, 1),) * 16 + (IsolatedPoint(1, 2, 1),) * 32
+        v = verdict(FixedPointDataset(5, K3, 3, True, isolated=points), bits)
+        assert v.k.k == (-6, -6, 10, 10, -6) and not v.spin.rational
+        assert v.sweep[0][2] == v.spin
+        report = verdict_report(v)
+        assert report["lift_sweep"][0]["spin"] == report["spin"]
 
 
 class TestVerifyProp41:
@@ -415,12 +438,17 @@ class TestNonSymplecticQuartic:
 
 class TestDefectFirstClassification:
     def test_first_spin_class_matches_value_class(self):
+        # every power, against the classification of the value in the field
         rng = random.Random(103)
         for p in (3, 5, 7):
             for _ in range(15):
                 d = random_dataset(rng, p=p)
-                want = classify_spin(spin_number(d, 1), 64)
-                assert classify_first_spin(spin_number_tuple(d), 64) == want
+                spins = spin_number_tuple(d)
+                index = CyclotomicNumber.from_rational(spin_index(d.manifold))
+                assert classify_spin(spins, 0, 64) == classify_value(index, 64)
+                assert classify_spin(spins, p, 64) == classify_value(index, 64)
+                for j in range(1, p):
+                    assert classify_spin(spins, j, 64) == classify_value(spin_number(d, j), 64), j
 
     def test_sweep_matches_multiplied_rotations(self):
         rng = random.Random(107)
@@ -437,24 +465,23 @@ class TestDefectFirstClassification:
                     for i, ki in enumerate(shifted.k):
                         value = value + ki * nu**i
                     if value.is_real():
-                        assert cls == classify_spin(value), (k, q)
+                        assert cls == classify_value(value), (k, q)
                     else:
                         assert cls == SpinClass(rational=False, value=None, sign=SIGN_UNKNOWN)
 
-    def test_verdict_needs_no_field_multiplication(self, monkeypatch):
-        orbit = FixedPointDataset(
-            7, K3, 3, False, isolated=tuple(IsolatedPoint(*pt) for pt in P7_ORBIT_POINTS)
-        )
-        datasets = (orbit, random_dataset(random.Random(109), p=11))
-        want = [verdict_report(verdict(d)) for d in datasets]
-        assert want[0]["k_vector"] is not None and want[0]["spin"]["value"] == "-12"
-        assert want[1]["spin"]["estimate"] is not None
+    def test_verdict_needs_no_field_multiplication(self, monkeypatch, tmp_path):
+        # every command of the golden table prints the same bytes with the field
+        # arithmetic switched off; only the oracles in the tests use it
+        from test_cli_golden import GOLDEN, INVOCATIONS, _digest, _write_inputs
 
-        def refuse(*args):
-            raise AssertionError("field multiplication or inversion on the verdict path")
+        def refuse(*args, **kwargs):
+            raise AssertionError("field arithmetic on a command-line path")
 
-        lefschetz._point_table.cache_clear()
-        lefschetz._surface_table.cache_clear()
-        for name in ("inverse", "__mul__", "__rmul__"):
+        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                     "inverse", "reduced", "galois", "embed", "is_real"):
             monkeypatch.setattr(CyclotomicNumber, name, refuse)
-        assert [verdict_report(verdict(d)) for d in datasets] == want
+        for name in ("_reduce_coeffs", "_power_table", "cyclotomic_polynomial"):
+            monkeypatch.setattr(cyclo, name, refuse)
+        _write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert {key: _digest(argv) for key, argv in INVOCATIONS.items()} == GOLDEN
