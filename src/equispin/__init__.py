@@ -17,12 +17,13 @@ from .cyclo import (
     half_angle_csc,
 )
 from .dataset import (
+    ClassCounts,
     DatasetError,
     FixedPointDataset,
     FixedSurface,
     IsolatedPoint,
     ManifoldInvariants,
-    count_p3_types,
+    class_counts,
     fermat_quartic,
     normalize_half_weights,
     parse_dataset,
@@ -35,6 +36,7 @@ from .lefschetz import (
     SpinNumberTuple,
     euler_quotient_p3,
     k_vector,
+    orbit_space_p3,
     signature_quotient_p3,
     spin_index,
     spin_number,
@@ -61,7 +63,6 @@ from .rigidity import (
     classify_spin,
     enumerate_pseudofree_p3,
     lift_sweep,
-    orbit_space_p3,
     verdict,
     verify_sw_vanishing,
 )
@@ -74,12 +75,13 @@ __all__ = [
     "cyclotomic_polynomial",
     "half_angle_cos",
     "half_angle_csc",
+    "ClassCounts",
     "DatasetError",
     "FixedPointDataset",
     "FixedSurface",
     "IsolatedPoint",
     "ManifoldInvariants",
-    "count_p3_types",
+    "class_counts",
     "fermat_quartic",
     "normalize_half_weights",
     "parse_dataset",
@@ -90,6 +92,7 @@ __all__ = [
     "SpinNumberTuple",
     "euler_quotient_p3",
     "k_vector",
+    "orbit_space_p3",
     "signature_quotient_p3",
     "spin_index",
     "spin_number",
@@ -112,7 +115,6 @@ __all__ = [
     "classify_spin",
     "enumerate_pseudofree_p3",
     "lift_sweep",
-    "orbit_space_p3",
     "verdict",
     "verify_sw_vanishing",
 ]

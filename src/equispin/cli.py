@@ -26,12 +26,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import rigidity
-from .dataset import FixedPointDataset, ManifoldInvariants, fermat_quartic, parse_dataset
+from .dataset import FixedPointDataset, ManifoldInvariants, class_counts, fermat_quartic, parse_dataset
 from .lefschetz import (
     NonIntegralDefectError,
-    euler_quotient_p3,
     k_vector,
-    signature_quotient_p3,
+    orbit_space_p3,
     spin_index,
     spin_number_tuple,
 )
@@ -106,7 +105,7 @@ def _render_spin(p: dict) -> None:
 
 
 def _quotient_payload(args, dataset: FixedPointDataset) -> dict:
-    return rigidity.quotient_dict(rigidity.orbit_space_p3(dataset))
+    return rigidity.quotient_dict(orbit_space_p3(class_counts(dataset)))
 
 
 def _quotient_text(q: dict) -> str:
@@ -244,7 +243,8 @@ def _selftest_items() -> list[tuple[str, bool, str]]:
         return v == 2, f"spin number {v.to_rational()}"
 
     def fermat_quotient():
-        s, e = signature_quotient_p3(fermat), euler_quotient_p3(fermat)
+        q = orbit_space_p3(class_counts(fermat))
+        s, e = q["sigma"], q["euler"]
         return (s, e) == (Fraction(-4), Fraction(12)), f"sigma {s}, euler {e}"
 
     def fermat_defects():

@@ -6,9 +6,9 @@ sign, and fixed surfaces carrying a self-intersection number, genus, one
 rotation number and a spin sign.  Parsing is strict: unknown keys are
 rejected and every violated invariant is reported by name.
 
-The half-weight normalization at the bottom encodes rotation number and
-spin sign jointly as residues mod ``2p``; the exact fixed-point formulas in
-:mod:`equispin.lefschetz` consume that encoding.
+:func:`class_counts` reduces a dataset in one pass to the :class:`ClassCounts` that
+the defect tables, the orbit space and the verdict's facts read.  The half-weight
+encoding mod ``2p`` at the bottom serves the oracle :func:`equispin.lefschetz.spin_number`.
 """
 
 from __future__ import annotations
@@ -308,6 +308,64 @@ def fermat_quartic() -> FixedPointDataset:
     )
 
 
+# -- class counts ------------------------------------------------------------------
+
+
+class ClassCounts(namedtuple("ClassCounts", "p manifold quotient_b_plus trivial points surfaces betti")):
+    """A dataset reduced to counts per fixed-component class, with its scalar data.
+
+    ``points`` holds the sorted ``((a, b, s), count)`` pairs and ``surfaces`` the sorted
+    ``((c, s), sum of F.F)`` pairs, with ``c < p/2``; ``betti`` is ``(b0, b1, b2)`` of the
+    fixed set F.  The class key and its sign ``s`` are those of :mod:`equispin.lefschetz`.
+    """
+
+    __slots__ = ()
+
+    @property
+    def fixed_euler(self) -> int:
+        """chi(F) = b0 - b1 + b2."""
+        return self.betti[0] - self.betti[1] + self.betti[2]
+
+    @property
+    def surface_sum(self) -> int:
+        """The sum of F.F over the fixed surfaces."""
+        return sum(e for _, e in self.surfaces)
+
+    @property
+    def p3_types(self) -> tuple[int, int]:
+        """``(f1, f2)`` at p = 3: the points with ``a b = 2`` and with ``a b = 1`` mod 3."""
+        if self.p != 3:
+            raise ValueError("quotient formulas are implemented for order 3 only")
+        f1 = sum(n for (a, b, _), n in self.points if a * b % 3 == 2)
+        return f1, sum(n for _, n in self.points) - f1
+
+
+@functools.lru_cache(maxsize=None)
+def _point_class(p: int, x: int, y: int, epsilon: int) -> tuple[int, int, int]:
+    """``(a, b, s)``, ``a <= b`` and ``a + b <= p``; cached, as a corpus repeats few points."""
+    a, b = min(sorted((x % p, y % p)), sorted((-x % p, -y % p)))
+    return a, b, -1 if (x + y + (epsilon == 1)) % 2 else 1
+
+
+def class_counts(dataset: FixedPointDataset) -> ClassCounts:
+    """The :class:`ClassCounts` of a dataset, in one pass over its fixed set."""
+    p = dataset.p
+    points, surfaces, genus = {}, {}, 0
+    for pt in dataset.isolated:
+        key = _point_class(p, *pt)
+        points[key] = points.get(key, 0) + 1
+    for e, g, c, epsilon in dataset.surfaces:
+        key = min(c % p, -c % p), -1 if (c + (epsilon == -1)) % 2 else 1
+        surfaces[key] = surfaces.get(key, 0) + e
+        genus += g
+    n = len(dataset.surfaces)
+    return ClassCounts(
+        p, dataset.manifold, dataset.quotient_b_plus, dataset.homologically_trivial,
+        tuple(sorted(points.items())), tuple(sorted(surfaces.items())),
+        (len(dataset.isolated) + n, 2 * genus, n),
+    )
+
+
 # -- half-weight normalization ------------------------------------------------
 
 
@@ -346,21 +404,3 @@ def normalize_half_weights(
         for sf in dataset.surfaces
     ])
     return points, surfaces
-
-
-def count_p3_types(dataset: FixedPointDataset) -> tuple[int, int]:
-    """Counts ``(f1, f2)`` of the two isolated-point types when ``p == 3``.
-
-    Types are taken up to order and simultaneous sign, which leaves the
-    product of the two rotation numbers mod 3 as a complete invariant:
-    product 2 is the (1, 2) type, product 1 the (1, 1) type.
-    """
-    if dataset.p != 3:
-        raise ValueError("type counting is specific to order 3")
-    f1 = f2 = 0
-    for pt in dataset.isolated:
-        if (pt.l_alpha * pt.l_beta) % 3 == 2:
-            f1 += 1
-        else:
-            f2 += 1
-    return f1, f2

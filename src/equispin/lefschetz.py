@@ -8,10 +8,11 @@ zeta_p``, slot 0 the full index ``-sigma/8``) are
 
     ``k_i = -sigma/(8p) + (1/p) Tr(nu^(-i) Spin(1))``,
 
-a sum of small rational tables, one per fixed component: ``T(p, a, b)`` for
-an isolated point and ``S(p, c)`` per unit of self-intersection of a fixed
+a sum of small rational tables, one per class of fixed component as
+:func:`~equispin.dataset.class_counts` counts them: ``T(p, a, b, s)`` per
+isolated point and ``S(p, c, s)`` per unit of self-intersection of a fixed
 surface, in the cotangent-sum style of Hirzebruch-Zagier.  Each table is
-built once per residue from the product of two ``1/(1 - nu^x)`` factors,
+built once per class from the product of two ``1/(1 - nu^x)`` factors,
 whose integer coefficients follow a Dedekind-sum recurrence in O(p) steps;
 no field inversion, convolution or linear solve is involved.
 
@@ -28,13 +29,16 @@ independent oracles, off the verdict path.  The order-3 quotient formulas
 give the signature and Euler characteristic of the orbit space as exact
 rationals.
 
-Power twists are evaluated through parity-canonical half weights: each pair
-``(a, b)`` (and each surface residue ``c``) is shifted into the even-sum
-class mod 2p, with the shift's sign carried out front.  The shifted and raw
-encodings give the same value at the first power, but only the even class
-makes every twist real and symmetric under ``j -> p - j``, which the index
-of a lift of order p demands; the sign at higher powers is therefore
-constant, not a j-th power.
+The per-power oracle shifts each half-weight residue into the even-sum class
+mod 2p, sign out front: only that class makes every twist real and symmetric
+under ``j -> p - j``, as the index of a lift of order p demands.  The class key
+keeps what the first power reads of it, the residues mod p and the sign.  A
+point ``(l_alpha, l_beta, epsilon)`` has ``s = (-1)^(l_alpha + l_beta + [epsilon = +1])``
+and the term ``-s nu^((a + b)(p + 1)/2) / ((1 - nu^a) (1 - nu^b))``, unchanged by
+swapping ``a, b`` or negating both; negating one and flipping ``s`` keeps it too,
+but not the G-signature type ``a b`` mod p, so the key does not fold that.  A
+surface has ``c = l_theta`` up to sign, ``s = (-1)^(l_theta + [epsilon = -1])`` and,
+per unit of F.F, the term ``-(s/2) nu^(c (p + 1)/2) (1 + nu^c) / (1 - nu^c)^2``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, half_angle_cos, half_angle_csc
-from .dataset import FixedPointDataset, ManifoldInvariants, count_p3_types, normalize_half_weights
+from .dataset import ClassCounts, FixedPointDataset, ManifoldInvariants, class_counts, normalize_half_weights
 
 
 class NonIntegralDefectError(ValueError):
@@ -118,50 +122,35 @@ def _table(x: list[int], shift: int, weight: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _point_table(p: int, a: int, b: int) -> tuple[int, ...]:
-    """Defect table ``T(p, a, b)`` of one isolated point, as numerators over ``2 p^3``.
-
-    The first-power term is ``-sign nu^((a' + b')/2) / ((1 - nu^a') (1 - nu^b'))``
-    for the even-class residues ``a', b'``.
-    """
-    aa, sign = _even_class(p, a, (a + b) % 2)
-    bb = b % (2 * p)
-    x = _pair(p, aa % p, bb % p)
-    return _table(x, (aa + bb) // 2, -2 * sign)
+def _point_table(p: int, a: int, b: int, s: int) -> tuple[int, ...]:
+    """Defect table ``T(p, a, b, s)`` of a point class, as numerators over ``2 p^3``."""
+    return _table(_pair(p, a, b), (a + b) * (p + 1) // 2 % p, -2 * s)
 
 
 @functools.lru_cache(maxsize=None)
-def _surface_table(p: int, c: int) -> tuple[int, ...]:
-    """Defect table ``S(p, c)`` per unit of self-intersection, as numerators over ``2 p^3``.
-
-    The first-power factor is ``-(sign/2) nu^(c'/2) (1 + nu^c') / (1 - nu^c')^2``
-    for the even-class residue ``c'``.
-    """
-    cc, sign = _even_class(p, c, c % 2)
-    sq = _pair(p, cc % p, cc % p)
-    x = [sq[m] + sq[(m - cc) % p] for m in range(p)]
-    return _table(x, cc // 2, -sign)
+def _surface_table(p: int, c: int, s: int) -> tuple[int, ...]:
+    """Defect table ``S(p, c, s)`` of a surface class per unit of F.F, as numerators over ``2 p^3``."""
+    sq = _pair(p, c, c)
+    x = [sq[m] + sq[(m - c) % p] for m in range(p)]
+    return _table(x, c * (p + 1) // 2 % p, -s)
 
 
-def defect_vector(dataset: FixedPointDataset) -> tuple[Fraction, ...]:
-    """Rational eigenspace defects ``(k_0, ..., k_{p-1})``, summed from the tables.
+def defect_vector(counts: ClassCounts) -> tuple[Fraction, ...]:
+    """Rational eigenspace defects ``(k_0, ..., k_{p-1})``, one table per class.
 
     They are integers for a consistent dataset; :func:`k_vector` checks that.
     """
-    p = dataset.p
-    n = 2 * p
-    index = spin_index(dataset.manifold)
-    points, surfaces = normalize_half_weights(dataset)
+    p = counts.p
+    index = spin_index(counts.manifold)
     acc = [0] * p
-    for pt in points:
-        acc = [s + t for s, t in zip(acc, _point_table(p, pt.a % n, pt.b % n))]
-    for sf in surfaces:
-        e = sf.self_intersection
+    for (a, b, s), n in counts.points:
+        acc = [x + n * t for x, t in zip(acc, _point_table(p, a, b, s))]
+    for (c, s), e in counts.surfaces:
         if e:
-            acc = [s + e * t for s, t in zip(acc, _surface_table(p, sf.c % n))]
+            acc = [x + e * t for x, t in zip(acc, _surface_table(p, c, s))]
     denominator = 2 * p**3
     base = 2 * p * p * index.numerator  # -sigma/(8p) over 2 p^3; the index is an integer
-    return tuple(Fraction(base + s, denominator) for s in acc)
+    return tuple(Fraction(base + x, denominator) for x in acc)
 
 
 def spin_number(dataset: FixedPointDataset, j: int) -> CyclotomicNumber:
@@ -246,9 +235,10 @@ class SpinNumberTuple(namedtuple("SpinNumberTuple", "p defects")):
                 raise ValueError(f"spin numbers are not real: defects {i} and {p - i} differ")
 
 
-def spin_number_tuple(dataset: FixedPointDataset) -> SpinNumberTuple:
-    """All spin numbers of a dataset from its defect tables, with the realness check run."""
-    out = SpinNumberTuple(dataset.p, defect_vector(dataset))
+def spin_number_tuple(source: FixedPointDataset | ClassCounts) -> SpinNumberTuple:
+    """All spin numbers of a dataset or its class counts, with the realness check run."""
+    counts = source if isinstance(source, ClassCounts) else class_counts(source)
+    out = SpinNumberTuple(counts.p, defect_vector(counts))
     out.check()
     return out
 
@@ -277,7 +267,7 @@ class KVector(namedtuple("KVector", "p k")):
         """Relabeling induced by multiplying the lift by a p-th root of unity."""
         p, k = self
         q %= p
-        return KVector(p, k[q:] + k[:q])
+        return tuple.__new__(KVector, (p, k[q:] + k[:q]))  # checked integers: no coercion
 
 
 def k_vector(spins: SpinNumberTuple) -> KVector:
@@ -304,39 +294,31 @@ def synthesize_spins(kv: KVector) -> SpinNumberTuple:
 # -- order-3 quotient formulas ---------------------------------------------
 
 
-def _require_p3(dataset: FixedPointDataset) -> None:
-    if dataset.p != 3:
-        raise ValueError("quotient formulas are implemented for order 3 only")
+def orbit_space_p3(counts: ClassCounts) -> dict:
+    """Orbit-space section of an order-3 action: exact signature, Euler characteristic, b+, b-.
+
+    ``3 sigma(X/G) = sigma(X) + (8/3) sum <F,F> + (2/3) (f1 - f2)``, with surface
+    coefficient ``csc^2(pi/3) + csc^2(2pi/3) = 8/3``, and ``3 chi(X/G) = chi(X) +
+    2 chi(F)``.  ``integral`` is whether both are integers; a non-integral value
+    is itself an obstruction.
+    """
+    f1, f2 = counts.p3_types  # raises unless p = 3
+    sigma = Fraction(3 * counts.manifold.signature + 8 * counts.surface_sum + 2 * (f1 - f2), 9)
+    euler = Fraction(counts.manifold.euler + 2 * counts.fixed_euler, 3)
+    return {
+        "sigma": sigma,
+        "euler": euler,
+        "b_plus": counts.quotient_b_plus,
+        "b_minus": counts.quotient_b_plus - sigma,
+        "integral": sigma.denominator == 1 and euler.denominator == 1,
+    }
 
 
 def signature_quotient_p3(dataset: FixedPointDataset) -> Fraction:
-    """Exact signature of the orbit space for an order-3 action (:func:`orbit_signature_p3`)."""
-    _require_p3(dataset)
-    surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
-    return orbit_signature_p3(dataset.manifold.signature, surface_sum, *count_p3_types(dataset))
-
-
-def orbit_signature_p3(signature: int, surface_sum: int, f1: int, f2: int) -> Fraction:
-    """Exact orbit-space signature of an order-3 action from the aggregates of its fixed set.
-
-    ``3 sigma(X/G) = sigma(X) + (8/3) * sum <F,F> + (2/3) (f1 - f2)``; the
-    surface coefficient is ``csc^2(pi/3) + csc^2(2pi/3) = 8/3``.  The result,
-    an integer over 9, is exact; integrality is the caller's check (a
-    non-integral value is itself an obstruction).
-    """
-    return Fraction(3 * signature + 8 * surface_sum + 2 * (f1 - f2), 9)
+    """The orbit-space signature of an order-3 action (:func:`orbit_space_p3`)."""
+    return orbit_space_p3(class_counts(dataset))["sigma"]
 
 
 def euler_quotient_p3(dataset: FixedPointDataset) -> Fraction:
-    """Exact Euler characteristic of the orbit space for an order-3 action.
-
-    ``3 chi(X/G) = chi(X) + 2 chi(fixed set)`` with the fixed set counted
-    as isolated points plus surfaces of Euler number ``2 - 2 genus``.
-    """
-    _require_p3(dataset)
-    return Fraction(dataset.manifold.euler + 2 * fixed_set_euler(dataset), 3)
-
-
-def fixed_set_euler(dataset: FixedPointDataset) -> int:
-    """Euler characteristic of the fixed set."""
-    return len(dataset.isolated) + sum(2 - 2 * sf.genus for sf in dataset.surfaces)
+    """The orbit-space Euler characteristic of an order-3 action (:func:`orbit_space_p3`)."""
+    return orbit_space_p3(class_counts(dataset))["euler"]

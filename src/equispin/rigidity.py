@@ -28,16 +28,13 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .cyclo import CyclotomicNumber, IntPolynomial
-from .dataset import FixedPointDataset, ManifoldInvariants, count_p3_types
+from .dataset import ClassCounts, FixedPointDataset, ManifoldInvariants, class_counts
 from .lefschetz import (
     KVector,
     NonIntegralDefectError,
     SpinNumberTuple,
-    euler_quotient_p3,
-    fixed_set_euler,
     k_vector,
-    orbit_signature_p3,
-    signature_quotient_p3,
+    orbit_space_p3,
     spin_number_tuple,
     synthesize_spins,
 )
@@ -359,26 +356,6 @@ def enumerate_pseudofree_p3(
     return out
 
 
-def orbit_space_p3(dataset: FixedPointDataset) -> dict:
-    """Orbit-space section of an order-3 action: exact signature, Euler characteristic, b+, b-.
-
-    ``integral`` is whether both the signature and the Euler characteristic
-    are integers; a non-integral value is itself an obstruction.
-    """
-    sigma = signature_quotient_p3(dataset)
-    return _orbit_section(sigma, euler_quotient_p3(dataset), dataset.quotient_b_plus)
-
-
-def _orbit_section(sigma: Fraction, euler: Fraction, b_plus: int) -> dict:
-    return {
-        "sigma": sigma,
-        "euler": euler,
-        "b_plus": b_plus,
-        "b_minus": b_plus - sigma,
-        "integral": sigma.denominator == 1 and euler.denominator == 1,
-    }
-
-
 @functools.lru_cache(maxsize=None)
 def _vanishing_once(params: InstanceParameters) -> VanishingReport:
     """:func:`verify_sw_vanishing` at ``q = 2``, run once per instance per process.
@@ -396,7 +373,7 @@ class Facts(
         " fixed_euler surface_sum has_surfaces f1 f2 quotient",
     )
 ):
-    """The exact aggregates of a dataset that the verdict rules read; no field refers to it.
+    """The exact aggregates that the verdict rules read, built from class counts alone.
 
     ``k`` is the defect vector, or None with :func:`k_vector`'s message in ``defect_error``.
     ``fixed_euler`` is chi(F) and ``surface_sum`` the sum of the F.F; ``f1``, ``f2`` and the
@@ -414,23 +391,21 @@ class Facts(
         return None
 
 
-def facts(dataset: FixedPointDataset, spins: SpinNumberTuple, precision_bits: int = 80) -> Facts:
-    """The :class:`Facts` of a dataset whose spin numbers are ``spins``."""
+def facts(counts: ClassCounts, spins: SpinNumberTuple, precision_bits: int = 80) -> Facts:
+    """The :class:`Facts` of class counts whose spin numbers are ``spins``; no dataset is read."""
     try:
         kv, error = k_vector(spins), None
     except NonIntegralDefectError as exc:
         kv, error = None, str(exc)
-    surface_sum = sum(sf.self_intersection for sf in dataset.surfaces)
     f1 = f2 = quotient = None
-    if dataset.p == 3:
-        f1, f2 = count_p3_types(dataset)
-        sigma = orbit_signature_p3(dataset.manifold.signature, surface_sum, f1, f2)
-        quotient = _orbit_section(sigma, euler_quotient_p3(dataset), dataset.quotient_b_plus)
+    if counts.p == 3:
+        f1, f2 = counts.p3_types
+        quotient = orbit_space_p3(counts)
     return Facts(
-        p=dataset.p, manifold=dataset.manifold, trivial=dataset.homologically_trivial,
-        quotient_b_plus=dataset.quotient_b_plus, spin=classify_spin(spins, 1, precision_bits),
-        k=kv, defect_error=error, fixed_euler=fixed_set_euler(dataset), surface_sum=surface_sum,
-        has_surfaces=bool(dataset.surfaces), f1=f1, f2=f2, quotient=quotient,
+        p=counts.p, manifold=counts.manifold, trivial=counts.trivial,
+        quotient_b_plus=counts.quotient_b_plus, spin=classify_spin(spins, 1, precision_bits),
+        k=kv, defect_error=error, fixed_euler=counts.fixed_euler, surface_sum=counts.surface_sum,
+        has_surfaces=counts.betti[2] > 0, f1=f1, f2=f2, quotient=quotient,
     )
 
 
@@ -564,8 +539,9 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
     of the Seiberg-Witten integer (or of the spin number's sign) cannot be
     reconciled, which is the rigidity theorem in mechanized form.
     """
-    spins = spin_number_tuple(dataset)
-    f = facts(dataset, spins, precision_bits)
+    counts = class_counts(dataset)
+    spins = spin_number_tuple(counts)
+    f = facts(counts, spins, precision_bits)
     outcome, vanishing = CONSTRAINT_VIOLATION, None
     reasons = tuple(reason for rule in VIOLATIONS for reason in rule(f))
     if not reasons:

@@ -16,6 +16,9 @@ kernel rank as a formula in ``(m, n, l, d)`` and ``q``, with no matrix at all.
 ``convolved_pair`` builds the product ``(-p/(1 - nu^a)) (-p/(1 - nu^b))`` that
 the defect tables start from as an O(p^2) cyclic convolution of the two
 factors' exponent vectors, as the tables once did.
+``half_weight_point_table`` and ``half_weight_surface_table`` are the defect
+tables keyed by the half-weight residues mod 2p, shifted into the even-sum
+class, as the program built them before it keyed them by class.
 
 The last two work in the cyclotomic field, where the program reads the
 defect vector instead.  ``classify_value`` classifies one spin number from
@@ -32,6 +35,7 @@ from fractions import Fraction
 
 from equispin.cyclo import CyclotomicNumber
 from equispin.intlinalg import extended_gcd
+from equispin.lefschetz import _even_class, _pair, _table
 from equispin.repring import (
     InstanceParameters,
     RepRingElement,
@@ -262,6 +266,28 @@ def convolved_pair(p: int, a: int, b: int) -> list[int]:
     for i, x in enumerate(u):
         out = [acc + x * y for acc, y in zip(out, v[-i:] + v[:-i])]
     return out
+
+
+def half_weight_point_table(p: int, a: int, b: int) -> tuple[int, ...]:
+    """The defect table of a point with half-weight residues ``a, b`` mod 2p, over ``2 p^3``.
+
+    The first-power term is ``-sign nu^((a' + b')/2) / ((1 - nu^a') (1 - nu^b'))``
+    for the even-class residues ``a', b'``.
+    """
+    aa, sign = _even_class(p, a, (a + b) % 2)
+    bb = b % (2 * p)
+    return _table(_pair(p, aa % p, bb % p), (aa + bb) // 2, -2 * sign)
+
+
+def half_weight_surface_table(p: int, c: int) -> tuple[int, ...]:
+    """The defect table per unit of F.F of a surface with half-weight residue ``c``, over ``2 p^3``.
+
+    The first-power factor is ``-(sign/2) nu^(c'/2) (1 + nu^c') / (1 - nu^c')^2``
+    for the even-class residue ``c'``.
+    """
+    cc, sign = _even_class(p, c, c % 2)
+    sq = _pair(p, cc % p, cc % p)
+    return _table([sq[m] + sq[(m - cc) % p] for m in range(p)], cc // 2, -sign)
 
 
 def classify_value(value: CyclotomicNumber, precision_bits: int = 80) -> SpinClass:

@@ -1,4 +1,4 @@
-"""Dataset parsing, validation, serialization, and half-weight encoding."""
+"""Dataset parsing, validation, serialization, class counts, and half-weight encoding."""
 
 import json
 import time
@@ -17,7 +17,7 @@ from equispin.dataset import (
     IsolatedPoint,
     ManifoldInvariants,
     canonical_json,
-    count_p3_types,
+    class_counts,
     fermat_quartic,
     normalize_half_weights,
     parse_dataset,
@@ -181,13 +181,41 @@ class TestHalfWeights:
         assert all(pt.a % 3 != 0 and pt.b % 3 != 0 for pt in points)
 
 
+class TestClassCounts:
+    def test_fermat(self):
+        counts = class_counts(fermat_quartic())
+        assert counts.points == (((1, 2, -1), 6),)
+        assert (counts.surfaces, counts.betti, counts.fixed_euler) == ((), (6, 0, 0), 6)
+
+    def test_mixed_fixed_set(self):
+        d = FixedPointDataset(
+            5,
+            ManifoldInvariants.k3(),
+            3,
+            False,
+            isolated=(IsolatedPoint(4, 3, 1), IsolatedPoint(1, 2, 1), IsolatedPoint(2, 1, -1)),
+            surfaces=(FixedSurface(-2, 1, 1, 1), FixedSurface(3, 0, 4, -1), FixedSurface(0, 2, 2, 1)),
+        )
+        counts = class_counts(d)
+        # (4, 3) is (1, 2) negated; the sign reads the raw rotation numbers
+        assert counts.points == (((1, 2, -1), 1), ((1, 2, 1), 2))
+        # l_theta = 4 is -1 mod 5; F.F adds up per class, a zero sum included
+        assert counts.surfaces == (((1, -1), 1), ((2, 1), 0))
+        assert (counts.betti, counts.fixed_euler, counts.surface_sum) == ((6, 6, 3), 3, 1)
+
+    def test_permutation_invariant(self):
+        d = fermat_quartic()._replace(isolated=(IsolatedPoint(1, 1, 1), IsolatedPoint(1, 2, -1)) * 3)
+        reordered = d._replace(isolated=sorted(d.isolated))
+        assert class_counts(d) == class_counts(reordered)
+
+
 class TestTypeCounting:
     def test_fermat(self):
-        assert count_p3_types(fermat_quartic()) == (6, 0)
+        assert class_counts(fermat_quartic()).p3_types == (6, 0)
 
     def test_empty(self):
         d = FixedPointDataset(3, ManifoldInvariants.k3(), 3, False)
-        assert count_p3_types(d) == (0, 0)
+        assert class_counts(d).p3_types == (0, 0)
 
     def test_sign_and_order_orbit(self):
         d = FixedPointDataset(
@@ -197,7 +225,7 @@ class TestTypeCounting:
             False,
             isolated=(IsolatedPoint(1, 1, 1), IsolatedPoint(2, 2, 1)),
         )
-        assert count_p3_types(d) == (0, 2)
+        assert class_counts(d).p3_types == (0, 2)
 
     def test_invariance_under_swap_and_negation(self):
         k3 = ManifoldInvariants.k3()
@@ -212,12 +240,13 @@ class TestTypeCounting:
                 3, k3, 3, False,
                 isolated=(IsolatedPoint((-la) % 3, (-lb) % 3, 1),),
             )
-            assert count_p3_types(d) == count_p3_types(swapped) == count_p3_types(negated)
+            counts = [class_counts(x) for x in (d, swapped, negated)]
+            assert counts[0].p3_types == counts[1].p3_types == counts[2].p3_types
 
     def test_wrong_order(self):
         d = FixedPointDataset(5, ManifoldInvariants.k3(), 3, False)
         with pytest.raises(ValueError):
-            count_p3_types(d)
+            class_counts(d).p3_types
 
 
 # -- the input contract under fuzzing ---------------------------------------------

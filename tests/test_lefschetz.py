@@ -1,5 +1,6 @@
-"""Spin numbers, defect vectors, and order-3 quotient invariants."""
+"""Spin numbers, defect vectors, class-keyed defect tables, and order-3 quotient invariants."""
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -7,15 +8,18 @@ from math import gcd
 
 import pytest
 
-from equispin import cyclo, lefschetz
+from equispin import cyclo, dataset, lefschetz
 from equispin.cyclo import CyclotomicNumber
 
 from equispin.dataset import (
+    ClassCounts,
     FixedPointDataset,
     FixedSurface,
     IsolatedPoint,
     ManifoldInvariants,
+    class_counts,
     fermat_quartic,
+    normalize_half_weights,
 )
 from equispin.lefschetz import (
     KVector,
@@ -23,7 +27,7 @@ from equispin.lefschetz import (
     SpinNumberTuple,
     euler_quotient_p3,
     k_vector,
-    orbit_signature_p3,
+    orbit_space_p3,
     signature_quotient_p3,
     spin_index,
     spin_number,
@@ -33,9 +37,31 @@ from equispin.lefschetz import (
 )
 
 from conftest import random_dataset
-from oracles import convolved_pair, fourier_inverse
+from oracles import (
+    convolved_pair,
+    fourier_inverse,
+    half_weight_point_table,
+    half_weight_surface_table,
+)
 
 K3 = ManifoldInvariants.k3()
+PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _one_point(p: int, point: IsolatedPoint):
+    """The class key and the half-weight residues of a single isolated point."""
+    d = FixedPointDataset(p, K3, 3, False, isolated=(point,))
+    ((key, _),) = class_counts(d).points
+    (half,), _ = normalize_half_weights(d)
+    return key, half
+
+
+def _one_surface(p: int, surface: FixedSurface):
+    """The class key and the half-weight residue of a single fixed surface."""
+    d = FixedPointDataset(p, K3, 3, False, surfaces=(surface,))
+    ((key, _),) = class_counts(d).surfaces
+    _, (half,) = normalize_half_weights(d)
+    return key, half
 
 
 class TestSpinNumber:
@@ -180,15 +206,20 @@ class TestQuotients:
         assert euler_quotient_p3(d).denominator != 1
 
     def test_orbit_signature_equals_the_g_signature_formula(self):
-        # (sigma + (8/3) sum F.F + (2/3) (f1 - f2)) / 3, term by term
+        # (sigma + (8/3) sum F.F + (2/3) (f1 - f2)) / 3, term by term, on counts built by hand
         for sigma in (-32, -16, 0, 16):
+            manifold = ManifoldInvariants(0, 3, sigma, 8 - sigma, True)
             for surface_sum in range(-6, 7):
                 for f1 in range(13):
                     for f2 in range(13):
+                        points = tuple([(key, n) for key, n in (((1, 1, 1), f2), ((1, 2, -1), f1)) if n])
+                        counts = ClassCounts(
+                            3, manifold, 3, False, points, (((1, 1), surface_sum),), (f1 + f2 + 1, 0, 1)
+                        )
                         want = (
                             sigma + Fraction(8, 3) * surface_sum + Fraction(2, 3) * (f1 - f2)
                         ) / 3
-                        assert orbit_signature_p3(sigma, surface_sum, f1, f2) == want
+                        assert orbit_space_p3(counts)["sigma"] == want
 
     def test_wrong_order(self):
         d = FixedPointDataset(5, K3, 3, False)
@@ -232,7 +263,7 @@ def _trace_vector(p: int) -> list[Fraction]:
 class TestDefectTables:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_tables_match_trace_of_per_power_term(self, p):
-        # T_i = (1/p) Tr(nu^(-i) point_term) and S_i likewise, for every residue
+        # T_i = (1/p) Tr(nu^(-i) point_term) and S_i likewise, for every point and surface
         n = 2 * p
         trace = _trace_vector(p)
         denominator = 2 * p**3
@@ -244,16 +275,63 @@ class TestDefectTables:
                 for i in range(p)
             )
 
-        residues = [r for r in range(n) if r % p]
-        for a in residues:
-            for b in residues:
-                table = lefschetz._point_table(p, a, b)
-                got = tuple(Fraction(v, denominator) for v in table)
-                assert got == oracle(lefschetz._point_term(p, 1, a, b)), (a, b)
-        for c in residues:
-            table = lefschetz._surface_table(p, c)
-            got = tuple(Fraction(v, denominator) for v in table)
-            assert got == oracle(lefschetz._surface_factor(p, 1, c)), c
+        for eps in (1, -1):
+            for la in range(1, p):
+                for lb in range(1, p):
+                    key, half = _one_point(p, IsolatedPoint(la, lb, eps))
+                    got = tuple(Fraction(v, denominator) for v in lefschetz._point_table(p, *key))
+                    assert got == oracle(lefschetz._point_term(p, 1, half.a, half.b)), key
+            for lt in range(1, p):
+                key, half = _one_surface(p, FixedSurface(-1, 0, lt, eps))
+                got = tuple(Fraction(v, denominator) for v in lefschetz._surface_table(p, *key))
+                assert got == oracle(lefschetz._surface_factor(p, 1, half.c)), key
+
+    def test_class_tables_match_half_weight_tables(self):
+        # every rotation pair and spin sign, against the tables keyed by half weights mod 2p
+        for p in PRIMES_TO_31:
+            for eps in (1, -1):
+                for la in range(1, p):
+                    for lb in range(1, p):
+                        key, half = _one_point(p, IsolatedPoint(la, lb, eps))
+                        want = half_weight_point_table(p, half.a, half.b)
+                        assert lefschetz._point_table(p, *key) == want, (p, la, lb, eps)
+                for lt in range(1, p):
+                    key, half = _one_surface(p, FixedSurface(-1, 0, lt, eps))
+                    want = half_weight_surface_table(p, half.c)
+                    assert lefschetz._surface_table(p, *key) == want, (p, lt, eps)
+
+    def test_table_residues_mod_p(self):
+        # T_i = 2 p^2 (alpha + gamma i^2) and S_i = p^2 (s/12 + (s/c^2) i^2) mod p^3, at p >= 5
+        for p in PRIMES_TO_31[1:]:
+            inv = functools.partial(pow, exp=-1, mod=p)
+            for s in (1, -1):
+                for a in range(1, p):
+                    for b in range(1, p):
+                        alpha = -s * (a * inv(b) + b * inv(a)) * inv(24)
+                        gamma = s * inv(2 * a * b)
+                        for i, v in enumerate(lefschetz._point_table(p, a, b, s)):
+                            assert v % (2 * p * p) == 0, (p, a, b, s, i)
+                            assert (v // (2 * p * p) - alpha - gamma * i * i) % p == 0, (p, a, b, s, i)
+                for c in range(1, p):
+                    for i, v in enumerate(lefschetz._surface_table(p, c, s)):
+                        assert v % (p * p) == 0, (p, c, s, i)
+                        assert (v // (p * p) - s * inv(12) - s * inv(c * c) * i * i) % p == 0, (p, c, s, i)
+
+    def test_defects_need_no_half_weights(self, monkeypatch):
+        # the tables read class counts; the half-weight encoding serves the per-power oracle only
+        rng = random.Random(127)
+        corpus = [random_dataset(rng, p=p) for p in (3, 3, 5, 7, 11) for _ in range(8)]
+        want = [spin_number_tuple(d) for d in corpus]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("half-weight encoding on the defect path")
+
+        monkeypatch.setattr(dataset, "normalize_half_weights", refuse)
+        monkeypatch.setattr(lefschetz, "normalize_half_weights", refuse)
+        lefschetz._point_table.cache_clear()
+        lefschetz._surface_table.cache_clear()
+        assert [lefschetz.defect_vector(class_counts(d)) for d in corpus] == [w.defects for w in want]
+        assert [spin_number_tuple(d) for d in corpus] == want
 
     def test_pair_matches_convolution(self):
         # the O(p) recurrence against the O(p^2) convolution oracle
@@ -271,7 +349,7 @@ class TestDefectTables:
         d = FixedPointDataset(10007, K3, 3, False, isolated=(IsolatedPoint(7, 3, 1),))
         lefschetz._point_table.cache_clear()
         started = time.perf_counter()
-        defects = lefschetz.defect_vector(d)
+        defects = lefschetz.defect_vector(class_counts(d))
         assert time.perf_counter() - started < 0.5
         assert defects[0] == Fraction(-393408, 10007)
 

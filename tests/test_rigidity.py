@@ -115,6 +115,54 @@ class TestKConstraints:
             assert clean_pos != clean_neg
 
 
+NON_REAL = SpinClass(rational=False, value=None, sign=SIGN_UNKNOWN)
+
+
+def _real_shifts(sweep) -> list[int]:
+    """The shifts whose first-twist value is real: the classified entries of a sweep."""
+    return [q for q, _, cls in sweep if cls != NON_REAL]
+
+
+class TestRealShifts:
+    # two real shifts q1 != q2 make k symmetric about both centres, hence invariant
+    # under translation by 2 (q2 - q1), a unit mod p: k is then constant
+
+    def test_zero_one_or_p_real_shifts(self):
+        rng = random.Random(131)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            vectors = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(6)]
+            vectors += [[c] * p for c in (-1, 0, 2)]
+            for centre in range(p):
+                base = [rng.randint(-3, 3) for _ in range(p)]
+                vectors.append([base[min((i - centre) % p, (centre - i) % p)] for i in range(p)])
+            for k in vectors:
+                sweep = lift_sweep(KVector(p, k))
+                real = _real_shifts(sweep)
+                assert real == [
+                    q for q in range(p) if all(k[(q + i) % p] == k[(q - i) % p] for i in range(p))
+                ]
+                assert len(real) in (0, 1, p), (p, k)
+                assert (len(real) == p) == (len(set(k)) == 1), (p, k)
+                assert all(type(shifted) is KVector for _, shifted, _ in sweep)
+
+    def test_verdict_has_one_real_shift_at_zero(self):
+        # a K3 defect vector sums to 2, so it is never constant at p >= 3
+        rng = random.Random(137)
+        integral = engineered_trivial_datasets() + [fermat_quartic()] + [
+            # 16 points (1, 1, +1) and 32 points (1, 2, +1): integral defects at every p >= 5
+            FixedPointDataset(p, K3, 3, True, isolated=(IsolatedPoint(1, 1, 1),) * 16 + (IsolatedPoint(1, 2, 1),) * 32)
+            for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
+        ]
+        corpus = integral + [random_dataset(rng, p=p) for p in (3, 3, 5) for _ in range(20)]
+        seen = 0
+        for d in corpus:
+            v = verdict(d)
+            if v.sweep is not None:
+                seen += 1
+                assert _real_shifts(v.sweep) == [0]
+        assert seen >= len(integral)
+
+
 class TestLiftSweep:
     def test_fermat_shifts(self):
         sweep = lift_sweep(fermat_quartic())

@@ -1,13 +1,13 @@
 """The verdict as facts and rules.
 
-``rigidity.verdict`` reduces a dataset once to its ``Facts`` and evaluates
-three ordered tables of pure rules on them: ``VIOLATIONS``, then
-``CONTRADICTIONS`` when no violation fires, and ``NOTES``.  These tests build
-facts by hand, with no dataset, and run every rule on them; tie each anchor
-to exactly one rule, in the source and in what the rules emit; check the
-README's rule table against the ``Reason(...)`` calls of ``rigidity.py``;
-and pin that ``verdict`` has no order-3 branch of its own and counts the
-point types of an order-3 dataset once.
+``rigidity.verdict`` reduces a dataset once to its ``ClassCounts``, then to
+its ``Facts``, and evaluates three ordered tables of pure rules on them:
+``VIOLATIONS``, then ``CONTRADICTIONS`` when no violation fires, and
+``NOTES``.  These tests build facts and class counts by hand, with no
+dataset, and run every rule on them; tie each anchor to exactly one rule, in
+the source and in what the rules emit; check the README's rule table against
+the ``Reason(...)`` calls of ``rigidity.py``; and pin that ``verdict`` has no
+order-3 branch of its own and builds the class counts once.
 """
 
 import ast
@@ -18,9 +18,11 @@ from pathlib import Path
 import pytest
 
 from conftest import engineered_trivial_datasets, random_dataset
+from test_nikulin import _nikulin
+from test_rigidity import _nonsymplectic_quartic
 
 from equispin import lefschetz, rigidity
-from equispin.dataset import ManifoldInvariants, fermat_quartic
+from equispin.dataset import ClassCounts, ManifoldInvariants, class_counts, fermat_quartic
 from equispin.lefschetz import KVector, spin_number_tuple
 from equispin.rigidity import (
     CONTRADICTIONS,
@@ -181,9 +183,67 @@ def test_hand_built_facts_reach_every_rule_and_anchor():
 
 def test_hand_built_facts_match_the_builder():
     negative_one = engineered_trivial_datasets()[1]
-    assert facts(negative_one, spin_number_tuple(negative_one)) == _facts()
+    assert facts(class_counts(negative_one), spin_number_tuple(negative_one)) == _facts()
     fermat = fermat_quartic()
-    assert facts(fermat, spin_number_tuple(fermat)) == SCENARIOS[2].values[0]
+    assert facts(class_counts(fermat), spin_number_tuple(fermat)) == SCENARIOS[2].values[0]
+
+
+def _counts(p, trivial, quotient_b_plus, points, surfaces, betti) -> ClassCounts:
+    return ClassCounts(p, K3, quotient_b_plus, trivial, points, surfaces, betti)
+
+
+# class counts written out by hand, each beside the dataset it counts
+HAND_COUNTED = [
+    pytest.param(
+        _counts(3, False, 3, (((1, 2, -1), 6),), (), (6, 0, 0)), fermat_quartic(), id="fermat"
+    ),
+    pytest.param(
+        _counts(3, True, 3, (((1, 1, 1), 4), ((1, 2, -1), 4)), (((1, -1), -8), ((1, 1), -4)), (16, 0, 8)),
+        engineered_trivial_datasets()[0],
+        id="balanced",
+    ),
+    pytest.param(
+        _counts(3, True, 3, (((1, 1, -1), 8),), (((1, 1), -10),), (16, 0, 8)),
+        engineered_trivial_datasets()[1],
+        id="negative-one",
+    ),
+    pytest.param(
+        _counts(3, True, 3, (((1, 1, -1), 12), ((1, 1, 1), 4)), (((1, -1), -8),), (20, 0, 4)),
+        engineered_trivial_datasets()[2],
+        id="negative-four",
+    ),
+    pytest.param(
+        _counts(5, False, 3, (((1, 4, -1), 2), ((2, 3, -1), 2)), (), (4, 0, 0)),
+        _nikulin(5, [-1] * 4),
+        id="nikulin-5",
+    ),
+    pytest.param(
+        _counts(7, False, 3, (((1, 6, -1), 1), ((2, 5, -1), 1), ((3, 4, -1), 1)), (), (3, 0, 0)),
+        _nikulin(7, [-1] * 3),
+        id="nikulin-7",
+    ),
+] + [
+    # the point (2, 2) is (1, 1) negated; the quartic curve has genus 3 and F.F = 4
+    pytest.param(
+        _counts(3, False, 1, (((1, 1, -eps_point), 1),), (((1, -eps_surface), 4),), (2, 6, 1)),
+        _nonsymplectic_quartic(eps_point, eps_surface),
+        id=f"quartic{eps_point:+d}{eps_surface:+d}",
+    )
+    for eps_point in (1, -1)
+    for eps_surface in (1, -1)
+]
+
+
+@pytest.mark.parametrize("counts, dataset", HAND_COUNTED)
+def test_hand_built_counts_give_the_facts_and_rules_of_their_dataset(counts, dataset):
+    assert class_counts(dataset) == counts
+    f = facts(counts, spin_number_tuple(counts))
+    assert f == facts(class_counts(dataset), spin_number_tuple(dataset))
+    v = verdict(dataset)
+    violations = tuple(r for rule in VIOLATIONS for r in rule(f))
+    assert v.reasons == (violations or tuple(r for rule in CONTRADICTIONS for r in rule(f)))
+    assert v.notes == tuple(r for rule in NOTES for r in rule(f))
+    assert (f.spin, f.k, f.quotient) == (v.spin, v.k, v.quotient)
 
 
 def test_each_anchor_is_written_in_exactly_one_rule():
@@ -204,7 +264,7 @@ def _corpus():
 def test_each_anchor_is_emitted_by_exactly_one_rule():
     emitters: dict[str, set[str]] = {}
     hand_built = [param.values[0] for param in SCENARIOS]
-    for f in hand_built + [facts(d, spin_number_tuple(d)) for d in _corpus()]:
+    for f in hand_built + [facts(class_counts(d), spin_number_tuple(d)) for d in _corpus()]:
         for name, anchors in _fired(f).items():
             for anchor in anchors:
                 emitters.setdefault(anchor, set()).add(name)
@@ -215,7 +275,7 @@ def test_each_anchor_is_emitted_by_exactly_one_rule():
 def test_verdict_is_the_tables_on_the_facts():
     for dataset in _corpus():
         v = verdict(dataset)
-        f = facts(dataset, spin_number_tuple(dataset))
+        f = facts(class_counts(dataset), spin_number_tuple(dataset))
         violations = tuple(r for rule in VIOLATIONS for r in rule(f))
         contradictions = tuple(r for rule in CONTRADICTIONS for r in rule(f))
         assert v.reasons == (violations or contradictions)
@@ -234,20 +294,20 @@ def test_verdict_has_no_order_three_branch():
     ]
 
 
-def test_point_types_counted_once_per_verdict(monkeypatch):
+def test_class_counts_built_once_per_verdict(monkeypatch):
     calls = []
-    count = rigidity.count_p3_types
+    count = rigidity.class_counts
 
     def counted(dataset):
         calls.append(dataset)
         return count(dataset)
 
-    monkeypatch.setattr(rigidity, "count_p3_types", counted)
-    monkeypatch.setattr(lefschetz, "count_p3_types", counted)
-    datasets = engineered_trivial_datasets() + [fermat_quartic()]
+    monkeypatch.setattr(rigidity, "class_counts", counted)
+    monkeypatch.setattr(lefschetz, "class_counts", counted)
+    datasets = engineered_trivial_datasets() + [fermat_quartic()] + _corpus()
     for dataset in datasets:
         verdict(dataset)
-    assert len(calls) == len(datasets)
+    assert calls == datasets
 
 
 # -- the README's table of rules ------------------------------------------------------
