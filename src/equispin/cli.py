@@ -2,12 +2,12 @@
 
 Subcommands: ``spin``, ``quotient``, ``kvector``, ``verdict``, ``enumerate``,
 ``prop41``, ``selftest``.  Each is one row of ``COMMANDS``: a payload
-builder, which turns the parsed arguments into a JSON-compatible dict, and a
-text renderer for that dict.  ``main`` looks the command up and prints the
-payload through ``_emit``, as JSON or as text.  The four dataset commands
-build their payload per dataset file; with ``--batch DIR`` they build one per
-``*.json`` file in DIR, a per-file ``error`` entry standing in for a file
-that fails.
+builder, which turns the parsed arguments into a JSON-compatible dict (for a
+text ``verdict``, the verdict record), and a text renderer for it.  ``main``
+looks the command up and prints the payload through ``_emit``, as JSON or as
+text.  The four dataset commands build their payload per dataset file; with
+``--batch DIR`` they build one per ``*.json`` file in DIR, a per-file
+``error`` entry standing in for a file that fails.
 
 Exit codes: 0 for a completed evaluation (a Contradiction outcome is a
 successful computation, not an error), 1 for a self-test with a failed item,
@@ -38,6 +38,8 @@ from .repring import InstanceParameters
 
 # ``numeric_estimate`` prints at least 6 significant digits: log2(10^6) > 19.9 bits
 MIN_PRECISION_BITS = 20
+# advisory digits only; mpmath's cosines take minutes far above this at large p
+MAX_PRECISION_BITS = 4096
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -84,18 +86,16 @@ def _spin_payload(args, dataset: FixedPointDataset) -> dict:
     spins = spin_number_tuple(dataset)
     if not 0 <= args.power <= dataset.p - 1:
         raise ValueError(f"power must lie in 0..{dataset.p - 1}")
-    # real, since spin_number_tuple checked it, and at its minimal conductor
-    value = spins.value(args.power)
+    # real, since spin_number_tuple checked it; an irrational one is printed at conductor p
+    spin = rigidity.classify_spin(spins, args.power, args.precision)
     return {
         "power": args.power,
         "spin": (
-            {"rational": str(value.to_rational())}
-            if value.is_rational()
-            else rigidity.cyclotomic_dict(value)
+            {"rational": str(spin.value)}
+            if spin.rational
+            else {"conductor": dataset.p, "coeffs": [str(c) for c in spins.coordinates(args.power)]}
         ),
-        "classification": rigidity.spin_class_dict(
-            rigidity.classify_spin(spins, args.power, args.precision)
-        ),
+        "classification": rigidity.spin_class_dict(spin),
     }
 
 
@@ -130,36 +130,36 @@ def _render_kvector(p: dict) -> None:
         print(f"defect vector: {tuple(p['k_vector'])}")
 
 
-def _verdict_payload(args, dataset: FixedPointDataset) -> dict:
-    return rigidity.verdict_report(rigidity.verdict(dataset, args.precision))
+def _verdict_payload(args, dataset: FixedPointDataset):
+    """The JSON report, or for text the verdict record itself: the text shows no lift sweep."""
+    v = rigidity.verdict(dataset, args.precision)
+    return rigidity.verdict_report(v) if args.format == "json" else v
 
 
-def _render_verdict_text(payload: dict) -> None:
-    print(f"outcome: {payload['outcome']}")
-    spin = payload["spin"]
-    value = spin["value"] if spin["rational"] else f"irrational ({spin['estimate']})"
-    print(f"spin number: {value} [{spin['sign']}]")
-    if payload["k_vector"] is not None:
-        print(f"defect vector: {tuple(payload['k_vector'])}")
-    if payload["quotient"]:
-        print(f"orbit space: {_quotient_text(payload['quotient'])}")
-    if payload["prop41"]:
-        p41 = payload["prop41"]
-        print(f"vanishing check: kernel rank {p41['kernel_rank']}, sw {p41['sw_value']}")
-    for r in payload["reasons"]:
-        print(f"  reason [{r['anchor']}]: {r['detail']}")
-    for r in payload["notes"]:
-        print(f"  note [{r['anchor']}]: {r['detail']}")
+def _render_verdict_text(v: rigidity.RigidityVerdict) -> None:
+    print(f"outcome: {v.outcome}")
+    value = v.spin.value if v.spin.rational else f"irrational ({v.spin.estimate})"
+    print(f"spin number: {value} [{v.spin.sign}]")
+    if v.k is not None:
+        print(f"defect vector: {v.k.k}")
+    if v.quotient:
+        print(f"orbit space: {_quotient_text(rigidity.quotient_dict(v.quotient))}")
+    if v.vanishing:
+        print(f"vanishing check: kernel rank {v.vanishing.kernel_rank}, sw {v.vanishing.sw_value}")
+    for r in v.reasons:
+        print(f"  reason [{r.anchor}]: {r.detail}")
+    for r in v.notes:
+        print(f"  note [{r.anchor}]: {r.detail}")
 
 
 def _per_dataset(build_one):
     """Payload builder running ``build_one`` on the input file or on every ``--batch`` file."""
 
     def build(args) -> dict:
-        if args.precision < MIN_PRECISION_BITS:
-            raise ValueError(
-                f"--precision must be at least {MIN_PRECISION_BITS} bits, got {args.precision}"
-            )
+        if not MIN_PRECISION_BITS <= args.precision <= MAX_PRECISION_BITS:
+            low = args.precision < MIN_PRECISION_BITS
+            bound = f"at least {MIN_PRECISION_BITS}" if low else f"at most {MAX_PRECISION_BITS}"
+            raise ValueError(f"--precision must be {bound} bits, got {args.precision}")
         if not args.batch:
             if not args.input:
                 raise ValueError("an input file (or --batch) is required")
@@ -239,8 +239,8 @@ def _selftest_items() -> list[tuple[str, bool, str]]:
     fermat = fermat_quartic()
 
     def fermat_spin():
-        v = spin_number_tuple(fermat).value(1)
-        return v == 2, f"spin number {v.to_rational()}"
+        spin = rigidity.classify_spin(spin_number_tuple(fermat))
+        return spin.value == 2, f"spin number {spin.value}"
 
     def fermat_quotient():
         q = orbit_space_p3(class_counts(fermat))

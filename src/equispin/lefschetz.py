@@ -18,11 +18,11 @@ no field inversion, convolution or linear solve is involved.
 
 Everything else is derived from the defect vector.  A
 :class:`SpinNumberTuple` holds it, and ``Spin(j) = sum_i k_i nu^(i j)`` is
-written straight into power-basis coordinates at conductor p when a value
-is asked for: since ``nu^(p-1) = -(1 + nu + ... + nu^(p-2))``, the
-coordinate at ``nu^e`` (``e`` in ``0..p-2``) is ``k_(e/j) - k_((p-1)/j)``,
-indices mod p, and ``Spin(0) = sum_i k_i``.  Integrality of the defects is
-checked by :func:`k_vector`.
+read off it as power-basis coordinates at conductor p, with no field
+element built (:meth:`SpinNumberTuple.coordinates`): since ``nu^(p-1) =
+-(1 + nu + ... + nu^(p-2))``, the coordinate at ``nu^e`` (``e`` in
+``0..p-2``) is ``k_(e/j) - k_((p-1)/j)``, indices mod p, and ``Spin(0) =
+sum_i k_i``.  Integrality of the defects is checked by :func:`k_vector`.
 The literal per-power evaluation in ``Q(zeta_2p)`` (:func:`spin_number`)
 and the trigonometric formula (:func:`spin_number_from_angles`) stay as
 independent oracles, off the verdict path.  The order-3 quotient formulas
@@ -205,27 +205,22 @@ class SpinNumberTuple(namedtuple("SpinNumberTuple", "p defects")):
     """Spin numbers of all powers, held as their rational defect vector.
 
     ``Spin(j) = sum_i defects[i] nu^(i j)``, so slot 0 is the full index
-    ``-sigma/8``.  Values are built on demand.
+    ``-sigma/8``.  A value is read off the defects as its coordinates.
     """
 
     __slots__ = ()
 
-    def value(self, j: int) -> CyclotomicNumber:
-        """``Spin(j)`` at its minimal conductor (1 or p): ``k_(e/j) - k_((p-1)/j)`` at ``nu^e``."""
+    def coordinates(self, j: int) -> tuple[Fraction, ...]:
+        """``Spin(j)`` in the power basis ``1, nu, ..., nu^(p-2)``: ``k_(e/j) - k_((p-1)/j)`` at ``nu^e``.
+
+        ``Spin(0) = sum_i k_i`` sits at ``nu^0``; a value is rational when all other coordinates are 0.
+        """
         p, k = self
         if j % p == 0:
-            return CyclotomicNumber.from_rational(sum(k))
+            return (sum(k),) + (0,) * (p - 2)
         step = pow(j, -1, p)
         last = k[(p - 1) * step % p]
-        coeffs = [k[e * step % p] - last for e in range(p - 1)]
-        if not any(coeffs[1:]):
-            return CyclotomicNumber.from_rational(coeffs[0])
-        return CyclotomicNumber(p, coeffs)
-
-    @property
-    def values(self) -> tuple[CyclotomicNumber, ...]:
-        """Every ``Spin(j)``, built afresh on each access."""
-        return tuple(self.value(j) for j in range(self.p))
+        return tuple(k[e * step % p] - last for e in range(p - 1))
 
     def check(self) -> None:
         """Realness of every entry, hence symmetry under ``j -> p - j``: ``k_i = k_(p-i)``."""

@@ -27,7 +27,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .cyclo import CyclotomicNumber, IntPolynomial
+from .cyclo import IntPolynomial
 from .dataset import ClassCounts, FixedPointDataset, ManifoldInvariants, class_counts
 from .lefschetz import (
     KVector,
@@ -50,24 +50,22 @@ SIGN_POSITIVE = "positive"
 SIGN_UNKNOWN = "unknown-irrational"
 
 
-def numeric_estimate(value: CyclotomicNumber, bits: int = 80) -> str:
-    """Advisory floating estimate of a real cyclotomic value, as a string.
+def numeric_estimate(coordinates, bits: int = 80) -> str:
+    """Advisory floating estimate of a real value of ``Q(nu)``, ``nu = zeta_p``, as a string.
 
-    This is the only place the package leaves exact arithmetic; the result
-    is for reports only and never feeds back into a decision.
+    ``coordinates`` are its p - 1 power-basis coordinates, as
+    :meth:`~equispin.lefschetz.SpinNumberTuple.coordinates` gives them.  This
+    is the only place the package leaves exact arithmetic; the result is for
+    reports only and never feeds back into a decision.
     """
     import mpmath
 
     with mpmath.workprec(bits):
         acc = mpmath.mpf(0)
-        n = value.conductor
-        for idx, c in enumerate(value.coeffs):
+        n = len(coordinates) + 1
+        for idx, c in enumerate(coordinates):
             if c:
-                acc += (
-                    mpmath.mpf(c.numerator)
-                    / c.denominator
-                    * mpmath.cos(2 * mpmath.pi * idx / n)
-                )
+                acc += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * idx / n)
         return mpmath.nstr(acc, max(6, bits * 3 // 10))
 
 
@@ -81,6 +79,10 @@ class SpinClass(namedtuple("SpinClass", "rational value sign estimate", defaults
     __slots__ = ()
 
 
+# a first-twist value that is not real: nothing is known beyond its irrationality
+_NON_REAL = SpinClass(rational=False, value=None, sign=SIGN_UNKNOWN)
+
+
 def _rational_class(value: Fraction) -> SpinClass:
     sign = SIGN_ZERO if value == 0 else (SIGN_POSITIVE if value > 0 else SIGN_NEGATIVE)
     return SpinClass(rational=True, value=value, sign=sign)
@@ -92,7 +94,7 @@ def classify_spin(spins: SpinNumberTuple, j: int = 1, precision_bits: int = 80) 
     ``Spin(0) = sum_i k_i``.  Every other ``Spin(j) = sum_i k_i nu^(i j)`` is a
     Galois conjugate of ``Spin(1)``, so it is rational exactly when ``k_1 =
     ... = k_(p-1)``, and its value is then ``k_0 - k_1``.  Only an irrational
-    value is built, for its advisory numeric estimate (sign
+    value's coordinates are read, for its advisory numeric estimate (sign
     ``unknown-irrational``); the exact pipeline never branches on it.
     """
     k = spins.defects
@@ -104,7 +106,7 @@ def classify_spin(spins: SpinNumberTuple, j: int = 1, precision_bits: int = 80) 
         rational=False,
         value=None,
         sign=SIGN_UNKNOWN,
-        estimate=numeric_estimate(spins.value(j), precision_bits),
+        estimate=numeric_estimate(spins.coordinates(j), precision_bits),
     )
 
 
@@ -199,7 +201,8 @@ def lift_sweep(
     ``k_(q+i) = k_(q-i)`` for all i; a non-real one (the general case for a
     nonzero shift) is unclassifiable beyond irrationality.  A dataset is
     first reduced to its defect vector.  ``precision_bits`` sets the advisory
-    estimates, as in :func:`classify_spin`.
+    estimates, as in :func:`classify_spin`.  The general sweep, for any
+    integer vector; a verdict's report writes its entries from k (:func:`verdict_report`).
     """
     kv = source if isinstance(source, KVector) else k_vector(spin_number_tuple(source))
     p = kv.p
@@ -210,7 +213,7 @@ def lift_sweep(
         if all(k[i] == k[p - i] for i in range(1, p)):
             cls = classify_spin(synthesize_spins(shifted), 1, precision_bits)
         else:
-            cls = SpinClass(rational=False, value=None, sign=SIGN_UNKNOWN)
+            cls = _NON_REAL
         out.append((q, shifted, cls))
     return out
 
@@ -518,14 +521,13 @@ NOTES = (mixed_fixed_set, nontrivial_action, rationality_hypothesis, trace_sched
 
 
 class RigidityVerdict(
-    namedtuple(
-        "RigidityVerdict", "outcome reasons notes spin spins k sweep quotient vanishing"
-    )
+    namedtuple("RigidityVerdict", "outcome reasons notes spin spins k quotient vanishing")
 ):
     """Outcome of the full constraint pipeline with its reason chain.
 
     ``reasons`` and ``notes`` are tuples of :class:`Reason`; each field from
-    ``spins`` on is None where the pipeline did not compute it.
+    ``spins`` on is None where the pipeline did not compute it.  The report
+    writes the lift sweep from ``k`` and ``spin`` (:func:`verdict_report`).
     """
 
     __slots__ = ()
@@ -548,10 +550,7 @@ def verdict(dataset: FixedPointDataset, precision_bits: int = 80) -> RigidityVer
         reasons = tuple(reason for rule in CONTRADICTIONS for reason in rule(f))
         outcome, vanishing = CONTRADICTION if reasons else NO_OBSTRUCTION, f.vanishing
     notes = tuple(reason for rule in NOTES for reason in rule(f))
-    sweep = None if f.k is None else tuple(lift_sweep(f.k, precision_bits))
-    return RigidityVerdict(
-        outcome, reasons, notes, f.spin, spins, f.k, sweep, f.quotient, vanishing
-    )
+    return RigidityVerdict(outcome, reasons, notes, f.spin, spins, f.k, f.quotient, vanishing)
 
 
 # -- report serialization -----------------------------------------------------
@@ -563,13 +562,6 @@ def spin_class_dict(spin: SpinClass) -> dict:
         "value": str(spin.value) if spin.value is not None else None,
         "sign": spin.sign,
         "estimate": spin.estimate,
-    }
-
-
-def cyclotomic_dict(value: CyclotomicNumber) -> dict:
-    return {
-        "conductor": value.conductor,
-        "coeffs": [str(c) for c in value.coeffs],
     }
 
 
@@ -585,17 +577,27 @@ def vanishing_dict(report: VanishingReport) -> dict:
     return out
 
 
+def _sweep_dicts(kv: KVector, spin: SpinClass) -> list[dict]:
+    """:func:`lift_sweep` of a real k whose Spin(1) has class ``spin``, as report entries.
+
+    A real k is symmetric about 0, and a second centre would make it invariant under a
+    translation that generates Z/p: its only real shift is q = 0, unless k is constant.
+    """
+    k = list(kv.k)
+    constant = len(set(k)) == 1
+    return [
+        {"q": q, "k": k[q:] + k[:q], "spin": spin_class_dict(spin if constant or q == 0 else _NON_REAL)}
+        for q in range(kv.p)
+    ]
+
+
 def verdict_report(v: RigidityVerdict) -> dict:
     """The machine-readable verdict report (JSON-compatible dict)."""
     return {
         "outcome": v.outcome,
         "spin": spin_class_dict(v.spin),
         "k_vector": list(v.k.k) if v.k is not None else None,
-        "lift_sweep": [
-            {"q": q, "k": list(kv.k), "spin": spin_class_dict(cls)}
-            for q, kv, cls in (v.sweep or ())
-        ]
-        or None,
+        "lift_sweep": _sweep_dicts(v.k, v.spin) if v.k is not None else None,
         "quotient": quotient_dict(v.quotient) if v.quotient else None,
         "prop41": vanishing_dict(v.vanishing) if v.vanishing else None,
         "reasons": [{"anchor": r.anchor, "detail": r.detail} for r in v.reasons],

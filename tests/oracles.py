@@ -20,11 +20,15 @@ factors' exponent vectors, as the tables once did.
 tables keyed by the half-weight residues mod 2p, shifted into the even-sum
 class, as the program built them before it keyed them by class.
 
-The last two work in the cyclotomic field, where the program reads the
-defect vector instead.  ``classify_value`` classifies one spin number from
-its value: a realness check, a reduction to the minimal conductor by a
-linear solve, and a rationality test there.  ``fourier_inverse`` recovers
-the defects ``(1/p) sum_j nu^(-i j) Spin(j)`` from a list of values by
+The last four work in the cyclotomic field, where the program reads the
+defect vector instead.  ``spin_value`` builds ``Spin(j)`` of a spin-number
+tuple as a field element at its minimal conductor, and ``spin_values`` all
+of them.  ``field_estimate`` is the advisory estimate of any real field
+element, summed over its power-basis coordinates in the same mpmath steps
+as the program's.  ``classify_value`` classifies one spin number from its
+value: a realness check, a reduction to the minimal conductor by a linear
+solve, and a rationality test there.  ``fourier_inverse`` recovers the
+defects ``(1/p) sum_j nu^(-i j) Spin(j)`` from a list of values by
 multiplication in ``Q(zeta_p)``.
 """
 
@@ -43,7 +47,8 @@ from equispin.repring import (
     adams_multiplier,
     normal_form,
 )
-from equispin.rigidity import SIGN_UNKNOWN, SpinClass, _rational_class, numeric_estimate
+from equispin.lefschetz import SpinNumberTuple
+from equispin.rigidity import SIGN_UNKNOWN, SpinClass, _rational_class
 
 
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
@@ -290,6 +295,37 @@ def half_weight_surface_table(p: int, c: int) -> tuple[int, ...]:
     return _table([sq[m] + sq[(m - cc) % p] for m in range(p)], cc // 2, -sign)
 
 
+def spin_value(spins: SpinNumberTuple, j: int) -> CyclotomicNumber:
+    """``Spin(j)`` of a tuple at its minimal conductor (1 or p): ``k_(e/j) - k_((p-1)/j)`` at ``nu^e``."""
+    p, k = spins
+    if j % p == 0:
+        return CyclotomicNumber.from_rational(sum(k))
+    step = pow(j, -1, p)
+    last = k[(p - 1) * step % p]
+    coeffs = [k[e * step % p] - last for e in range(p - 1)]
+    if not any(coeffs[1:]):
+        return CyclotomicNumber.from_rational(coeffs[0])
+    return CyclotomicNumber(p, coeffs)
+
+
+def spin_values(spins: SpinNumberTuple) -> tuple[CyclotomicNumber, ...]:
+    """Every ``Spin(j)``, ``j`` in ``0..p-1``, as :func:`spin_value` builds it."""
+    return tuple(spin_value(spins, j) for j in range(spins.p))
+
+
+def field_estimate(value: CyclotomicNumber, bits: int = 80) -> str:
+    """Advisory floating estimate of a real cyclotomic value at any conductor, as a string."""
+    import mpmath
+
+    with mpmath.workprec(bits):
+        acc = mpmath.mpf(0)
+        n = value.conductor
+        for idx, c in enumerate(value.coeffs):
+            if c:
+                acc += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * idx / n)
+        return mpmath.nstr(acc, max(6, bits * 3 // 10))
+
+
 def classify_value(value: CyclotomicNumber, precision_bits: int = 80) -> SpinClass:
     """The :class:`SpinClass` of a real spin number, from its value in the field."""
     if not value.is_real():
@@ -301,7 +337,7 @@ def classify_value(value: CyclotomicNumber, precision_bits: int = 80) -> SpinCla
         rational=False,
         value=None,
         sign=SIGN_UNKNOWN,
-        estimate=numeric_estimate(reduced, precision_bits),
+        estimate=field_estimate(reduced, precision_bits),
     )
 
 

@@ -42,6 +42,7 @@ from equispin.rigidity import (
 )
 
 from conftest import engineered_trivial_datasets, random_dataset
+from oracles import spin_value
 
 K3 = ManifoldInvariants.k3()
 
@@ -146,7 +147,7 @@ def test_criterion_5_property_suites():
                 continue
             tail = (2 - k0) // (p - 1)
             kv = KVector(p, (k0,) + (tail,) * (p - 1))
-            assert synthesize_spins(kv).values[1] == Fraction(p * k0 - 2, p - 1)
+            assert spin_value(synthesize_spins(kv), 1) == Fraction(p * k0 - 2, p - 1)
     report(f"criterion-5 property-suites ({datasets} datasets)", started)
 
 

@@ -367,6 +367,24 @@ class TestPrecisionBound:
         assert (code, out) == (2, "")
         assert "--precision" in err
 
+    @pytest.mark.parametrize("command", ["spin", "quotient", "kvector", "verdict"])
+    @pytest.mark.parametrize("bits", ["4097", "20000", "1000000"])
+    def test_above_the_ceiling_is_rejected(self, capsys, irrational_file, command, bits):
+        # 20,000 bits took 36 s on a 48-point p = 1,009 verdict; the ceiling is checked first
+        started = time.perf_counter()
+        code, out, err = run(capsys, command, irrational_file, "--precision", bits)
+        assert (code, out) == (2, "")
+        assert err == f"error: --precision must be at most {cli.MAX_PRECISION_BITS} bits, got {bits}\n"
+        assert time.perf_counter() - started < 1
+
+    def test_ceiling_is_accepted(self, capsys, irrational_file):
+        bits = str(cli.MAX_PRECISION_BITS)
+        code, out, _ = run(capsys, "verdict", irrational_file, "--precision", bits, "--format", "json")
+        assert code == 0
+        # nstr keeps 4096 * 3 // 10 = 1228 significant digits; the 80-bit estimate's 24 agree to 22
+        estimate = json.loads(out)["spin"]["estimate"]
+        assert estimate.startswith("-0.540664393302568939385") and len(estimate) > 1000
+
     def test_twenty_bits_is_accepted(self, capsys, irrational_file):
         code, out, _ = run(capsys, "verdict", irrational_file, "--precision", "20", "--format", "json")
         assert code == 0

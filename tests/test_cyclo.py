@@ -256,9 +256,9 @@ class TestHalfAngles:
         assert v.is_real()
         assert (v * v).reduced().to_rational() == Fraction(16, 5)
         # high-precision numeric cross-check: csc(pi/5) csc(2pi/5) = 4/sqrt 5
-        from equispin.rigidity import numeric_estimate
+        from oracles import field_estimate
 
-        estimate = float(numeric_estimate(v, bits=120))
+        estimate = float(field_estimate(v, bits=120))
         assert abs(estimate - 4 / math.sqrt(5)) < 1e-12
 
     def test_pole(self):

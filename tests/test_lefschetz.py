@@ -42,6 +42,8 @@ from oracles import (
     fourier_inverse,
     half_weight_point_table,
     half_weight_surface_table,
+    spin_value,
+    spin_values,
 )
 
 K3 = ManifoldInvariants.k3()
@@ -109,8 +111,9 @@ class TestSpinProperties:
 
     def test_tuple_checks_run(self):
         spins = spin_number_tuple(fermat_quartic())
-        assert spins.values[0] == 2
-        assert spins.values[1] == spins.values[2] == 2
+        values = spin_values(spins)
+        assert values[0] == 2
+        assert values[1] == values[2] == 2
 
 
 class TestSpinIndex:
@@ -165,7 +168,7 @@ class TestKVector:
                     continue
                 tail = (2 - k0) // (p - 1)
                 kv = KVector(p, (k0,) + (tail,) * (p - 1))
-                value = synthesize_spins(kv).values[1]
+                value = spin_value(synthesize_spins(kv), 1)
                 assert value == Fraction(p * k0 - 2, p - 1)
 
     def test_fermat(self):
@@ -244,7 +247,7 @@ class TestOrderThreeIndexIdentity:
             if kv.k[1] != kv.k[2]:
                 continue
             hits += 1
-            spin = spins.values[1].reduced().to_rational()
+            spin = spin_value(spins, 1).reduced().to_rational()
             assert 3 * kv.k[0] == 2 + 2 * spin
         assert hits > 0
 
@@ -359,10 +362,11 @@ class TestDefectTables:
             for _ in range(count):
                 d = random_dataset(rng, p=p)
                 spins = spin_number_tuple(d)
-                assert spins.values[0] == spin_index(d.manifold)
+                values = spin_values(spins)
+                assert values[0] == spin_index(d.manifold)
                 for j in range(1, p):
-                    assert spins.values[j] == spin_number(d, j)
-                    assert spins.value(j).conductor == spin_number(d, j).conductor
+                    assert values[j] == spin_number(d, j)
+                    assert values[j].conductor == spin_number(d, j).conductor
 
     def test_k_vector_matches_fourier_inversion_of_oracle(self):
         rng = random.Random(89)
@@ -383,8 +387,8 @@ class TestDefectTables:
                     acc = CyclotomicNumber.from_rational(0, p)
                     for i, k in enumerate(kv.k):
                         acc = acc + k * nu ** (i * j % p)
-                    assert spins.value(j) == acc
-                    assert spins.value(j).conductor == acc.reduced().conductor
+                    assert spin_value(spins, j) == acc
+                    assert spin_value(spins, j).conductor == acc.reduced().conductor
 
     def test_round_trip_through_values(self):
         # inverts the built values, not the defects the tuple carries
@@ -392,7 +396,7 @@ class TestDefectTables:
         for p in (3, 5, 7):
             for _ in range(20):
                 kv = KVector(p, tuple(rng.randint(-6, 6) for _ in range(p)))
-                assert k_vector(_inverted(synthesize_spins(kv).values)) == kv
+                assert k_vector(_inverted(spin_values(synthesize_spins(kv)))) == kv
 
     def test_value_coordinates_match_the_folded_exponent_vector(self):
         # k_(e/j) - k_((p-1)/j) at nu^e, against the generic fold of k_i at exponent i j
@@ -405,13 +409,14 @@ class TestDefectTables:
                 spins = SpinNumberTuple(p, tuple(d))
                 for j in range(-1, p + 1):
                     want = cyclo._reduce_coeffs(p, cyclo._scatter(p, d, j))
-                    got = spins.value(j)
+                    assert spins.coordinates(j) == want, (p, j)
+                    got = spin_value(spins, j)
                     if any(want[1:]):
                         assert (got.conductor, got.coeffs) == (p, want), (p, j)
                     else:
                         assert (got.conductor, got.coeffs) == (1, want[:1]), (p, j)
             flat = SpinNumberTuple(p, (Fraction(3),) + (Fraction(-1),) * (p - 1))
-            assert all(flat.value(j) == 4 for j in range(1, p))
+            assert all(flat.coordinates(j) == (4,) + (0,) * (p - 2) for j in range(1, p))
 
     def test_realness_check(self):
         spins = synthesize_spins(KVector(5, (2, 1, 0, 0, 0)))

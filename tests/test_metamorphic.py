@@ -17,6 +17,7 @@ import random
 import pytest
 
 from conftest import engineered_trivial_datasets, random_dataset
+from oracles import spin_value
 from test_rigidity import P7_ORBIT_POINTS
 
 from equispin.cli import main
@@ -140,7 +141,7 @@ def test_power_relabels_spin_numbers_and_defects(p):
             assert not power.violations()
             twisted = spin_number_tuple(power)
             for j in range(p):
-                assert twisted.value(j) == spins.value(r * j % p)
+                assert spin_value(twisted, j) == spin_value(spins, r * j % p)
             for i in range(p):
                 assert twisted.defects[r * i % p] == spins.defects[i]
 

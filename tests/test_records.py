@@ -113,11 +113,11 @@ RECORDS = [
         lambda: RigidityVerdict(
             "NoObstruction", (Reason("a", "b"),), (),
             SpinClass(False, None, "unknown-irrational", "0.5"),
-            None, KVector(3, (2, 0, 0)), None, None, None,
+            None, KVector(3, (2, 0, 0)), None, None,
         ),
         "RigidityVerdict(outcome='NoObstruction', reasons=(Reason(anchor='a', detail='b'),), "
         "notes=(), spin=SpinClass(rational=False, value=None, sign='unknown-irrational', "
-        "estimate='0.5'), spins=None, k=KVector(p=3, k=(2, 0, 0)), sweep=None, quotient=None, "
+        "estimate='0.5'), spins=None, k=KVector(p=3, k=(2, 0, 0)), quotient=None, "
         "vanishing=None)",
         {"outcome": "Contradiction"},
         id="RigidityVerdict",

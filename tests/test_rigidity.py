@@ -1,7 +1,10 @@
 """Verdict engine: classification, defect constraints, vanishing, enumeration."""
 
+import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from equispin.dataset import (
     IsolatedPoint,
     ManifoldInvariants,
     fermat_quartic,
+    parse_dataset,
 )
 from equispin import cyclo, rigidity
 from equispin.intlinalg import integer_kernel
@@ -51,7 +55,16 @@ from equispin.rigidity import (
 from conftest import engineered_trivial_datasets, random_dataset
 from oracles import annihilates, candidate_vector, classify_value
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from corpus import generate  # noqa: E402
+
 K3 = ManifoldInvariants.k3()
+PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _m15(p: int) -> FixedPointDataset:
+    """16 points (1, 1, +1) and 32 points (1, 2, +1): integral defects at every p >= 5."""
+    return FixedPointDataset(p, K3, 3, True, isolated=(IsolatedPoint(1, 1, 1),) * 16 + (IsolatedPoint(1, 2, 1),) * 32)
 
 
 def _spin_class(*k: int) -> SpinClass:
@@ -148,18 +161,14 @@ class TestRealShifts:
     def test_verdict_has_one_real_shift_at_zero(self):
         # a K3 defect vector sums to 2, so it is never constant at p >= 3
         rng = random.Random(137)
-        integral = engineered_trivial_datasets() + [fermat_quartic()] + [
-            # 16 points (1, 1, +1) and 32 points (1, 2, +1): integral defects at every p >= 5
-            FixedPointDataset(p, K3, 3, True, isolated=(IsolatedPoint(1, 1, 1),) * 16 + (IsolatedPoint(1, 2, 1),) * 32)
-            for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
-        ]
+        integral = engineered_trivial_datasets() + [fermat_quartic()] + [_m15(p) for p in PRIMES_TO_31[1:]]
         corpus = integral + [random_dataset(rng, p=p) for p in (3, 3, 5) for _ in range(20)]
         seen = 0
         for d in corpus:
             v = verdict(d)
-            if v.sweep is not None:
+            if v.k is not None:
                 seen += 1
-                assert _real_shifts(v.sweep) == [0]
+                assert _real_shifts(lift_sweep(v.k)) == [0]
         assert seen >= len(integral)
 
 
@@ -181,12 +190,89 @@ class TestLiftSweep:
     @pytest.mark.parametrize("bits", [20, 200])
     def test_zero_shift_estimate_at_the_verdict_precision(self, bits):
         # 48 points at p = 5, integral defects (-6, -6, 10, 10, -6), irrational spin number
-        points = (IsolatedPoint(1, 1, 1),) * 16 + (IsolatedPoint(1, 2, 1),) * 32
-        v = verdict(FixedPointDataset(5, K3, 3, True, isolated=points), bits)
+        v = verdict(_m15(5), bits)
         assert v.k.k == (-6, -6, 10, 10, -6) and not v.spin.rational
-        assert v.sweep[0][2] == v.spin
+        assert lift_sweep(v.k, bits)[0][2] == v.spin
         report = verdict_report(v)
         assert report["lift_sweep"][0]["spin"] == report["spin"]
+
+
+# a free order-3 action on a spin manifold with b+ = 9, signature -48, Euler number 68:
+# no fixed point, so every defect is the index 6 over 3 and every shift is real
+FREE_P3 = FixedPointDataset(3, ManifoldInvariants(0, 9, -48, 68, True), 3, False)
+
+
+def _oracle_sweep(v, bits: int) -> list[dict] | None:
+    """The report's ``lift_sweep`` section, built by the general sweep of ``v.k``."""
+    if v.k is None:
+        return None
+    return [{"q": q, "k": list(kv.k), "spin": rigidity.spin_class_dict(cls)} for q, kv, cls in lift_sweep(v.k, bits)]
+
+
+def _fixtures() -> list[FixedPointDataset]:
+    """The golden datasets, every Nikulin sign choice and every non-symplectic quartic sign choice."""
+    from test_cli_golden import DATASETS
+    from test_nikulin import TYPES, _nikulin
+
+    nikulin = [_nikulin(p, signs) for p, types in TYPES.items()
+               for signs in itertools.product((1, -1), repeat=len(types))]
+    quartics = [_nonsymplectic_quartic(a, b) for a in (1, -1) for b in (1, -1)]
+    return list(DATASETS.values()) + nikulin + quartics
+
+
+def _corpora(root: Path) -> list[FixedPointDataset]:
+    """Every dataset of the seed-0 verdict-p3 and verdict-large-p corpora."""
+    return [
+        parse_dataset(Path(op["argv"][1]).read_bytes())
+        for workload in ("verdict-p3", "verdict-large-p")
+        for op in generate(workload, 0, root / workload)
+    ]
+
+
+class TestReportSweep:
+    """The report writes the sweep from k and the verdict's class; the general sweep is its oracle."""
+
+    def _check(self, datasets, bits=80) -> int:
+        integral = 0
+        for d in datasets:
+            v = verdict(d, bits)
+            assert verdict_report(v)["lift_sweep"] == _oracle_sweep(v, bits), d
+            integral += v.k is not None
+        return integral
+
+    @pytest.mark.parametrize("bits", [20, 80])
+    def test_fixtures(self, bits):
+        assert self._check(_fixtures(), bits) > 0
+
+    def test_benchmark_corpora(self, tmp_path):
+        assert self._check(_corpora(tmp_path)) > 0
+
+    def test_48_points_at_every_prime_to_31(self):
+        assert self._check([_m15(p) for p in PRIMES_TO_31[1:]]) == len(PRIMES_TO_31) - 1
+
+    def test_free_action_has_every_shift_real(self):
+        v = verdict(FREE_P3)
+        assert v.k.k == (2, 2, 2)
+        assert _real_shifts(lift_sweep(v.k)) == [0, 1, 2]
+        assert self._check([FREE_P3]) == 1
+
+    def test_one_estimate_per_verdict(self, monkeypatch, tmp_path):
+        calls = []
+        estimate = rigidity.numeric_estimate
+
+        def counted(coordinates, bits=80):
+            calls.append(bits)
+            return estimate(coordinates, bits)
+
+        monkeypatch.setattr(rigidity, "numeric_estimate", counted)
+        irrational = 0
+        for d in [_m15(p) for p in PRIMES_TO_31[1:]] + _corpora(tmp_path):
+            calls.clear()
+            v = verdict(d)
+            verdict_report(v)
+            assert len(calls) == (0 if v.spin.rational else 1), d
+            irrational += not v.spin.rational
+        assert irrational >= len(PRIMES_TO_31) - 1
 
 
 class TestVerifyProp41:
@@ -519,17 +605,25 @@ class TestDefectFirstClassification:
 
     def test_verdict_needs_no_field_multiplication(self, monkeypatch, tmp_path):
         # every command of the golden table prints the same bytes with the field
-        # arithmetic switched off; only the oracles in the tests use it
+        # arithmetic switched off, then with no field element built at all, and
+        # every verdict with no lift sweep and no shifted defect vector; only the
+        # oracles in the tests use them
         from test_cli_golden import GOLDEN, INVOCATIONS, _digest, _write_inputs
 
         def refuse(*args, **kwargs):
             raise AssertionError("field arithmetic on a command-line path")
 
+        _write_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
         for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
                      "inverse", "reduced", "galois", "embed", "is_real"):
             monkeypatch.setattr(CyclotomicNumber, name, refuse)
         for name in ("_reduce_coeffs", "_power_table", "cyclotomic_polynomial"):
             monkeypatch.setattr(cyclo, name, refuse)
-        _write_inputs(tmp_path)
-        monkeypatch.chdir(tmp_path)
         assert {key: _digest(argv) for key, argv in INVOCATIONS.items()} == GOLDEN
+        monkeypatch.setattr(CyclotomicNumber, "__init__", refuse)
+        assert {key: _digest(argv) for key, argv in INVOCATIONS.items()} == GOLDEN
+        monkeypatch.setattr(rigidity, "lift_sweep", refuse)
+        monkeypatch.setattr(KVector, "shifted", refuse)
+        verdicts = {key: argv for key, argv in INVOCATIONS.items() if argv[0] == "verdict"}
+        assert {key: _digest(argv) for key, argv in verdicts.items()} == {key: GOLDEN[key] for key in verdicts}
