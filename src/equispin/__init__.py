@@ -47,12 +47,8 @@ from .repring import (
     InstanceParameters,
     RepRingElement,
     TruncationIdeal,
-    extract_sw,
     normal_form,
-    parity_obstruction,
     solve_adams_kernel,
-    tom_dieck_product,
-    tom_dieck_rhs,
 )
 from .rigidity import (
     VanishingReport,
@@ -101,12 +97,8 @@ __all__ = [
     "InstanceParameters",
     "RepRingElement",
     "TruncationIdeal",
-    "extract_sw",
     "normal_form",
-    "parity_obstruction",
     "solve_adams_kernel",
-    "tom_dieck_product",
-    "tom_dieck_rhs",
     "VanishingReport",
     "Reason",
     "RigidityVerdict",

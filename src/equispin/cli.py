@@ -169,6 +169,8 @@ def _per_dataset(build_one):
         results = []
         for name in sorted(n for n in os.listdir(args.batch) if n.endswith(".json")):
             path = os.path.join(args.batch, name)
+            if not os.path.isfile(path):
+                continue
             try:
                 results.append({"file": name, "report": build_one(args, _load_dataset(path))})
             except ValueError as exc:

@@ -281,16 +281,6 @@ def to_json(dataset: FixedPointDataset) -> str:
     return json.dumps(serialize_dataset(dataset), sort_keys=True, separators=(",", ":"))
 
 
-def canonical_json(document) -> str:
-    """Canonical JSON text of a raw document (used by the round-trip checks)."""
-    if isinstance(document, (str, bytes)):
-        document = json.loads(document)
-    doc = dict(document)
-    doc.setdefault("isolated", [])
-    doc.setdefault("surfaces", [])
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def fermat_quartic() -> FixedPointDataset:
     """The degree-4 hypersurface example: six isolated points, no surfaces.
 

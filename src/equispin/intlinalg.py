@@ -15,7 +15,8 @@ modulo ``ell``.  :func:`certified_kernel` closes the gap: it lifts kernels
 taken modulo several primes to rationals by Chinese remaindering and
 rational reconstruction, and keeps them only once every lifted vector passes
 an exact check, so the count it returns is a proven lower bound that meets
-the upper one.
+the upper one.  :func:`kernel_mod` and the reduced echelon forms that
+:func:`certified_kernel` compares both read one forward elimination.
 """
 
 from __future__ import annotations
@@ -172,48 +173,16 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] |
     return x
 
 
-def _echelon_mod(rows: list[list[int]], ell: int) -> tuple[list[int], list[list[int]]]:
-    """Reduced row echelon form modulo the prime ``ell``: pivot columns and nonzero rows.
+def _forward_mod(rows: list[list[int]], ell: int) -> tuple[list[int], list[list[int]]]:
+    """Forward elimination modulo the prime ``ell``: pivot columns and their rows' tails.
 
-    A row not yet chosen as a pivot is zero left of the current column, so
-    each elimination only touches the columns from the pivot on.  The pivot
-    row itself reduces to zero and drops out with the other zero rows.
+    ``tails[k]`` is pivot row ``k`` right of its pivot ``pivots[k]``, scaled
+    so that the pivot is 1; each pivot row is dropped with its column.
     """
-
-    def eliminate(r: list[int], col: int, tail: list[int]) -> list[int]:
-        f = r[col]
-        return r[:col] + [(u - f * v) % ell for u, v in zip(r[col:], tail)] if f else r
-
-    rows = [[v % ell for v in r] for r in rows]
-    pivots: list[int] = []
-    out: list[list[int]] = []
-    for col in range(len(rows[0]) if rows else 0):
-        head = next((r for r in rows if r[col]), None)
-        if head is None:
-            continue
-        inv = pow(head[col], -1, ell)
-        tail = [v * inv % ell for v in head[col:]]
-        rows = [r for r in (eliminate(r, col, tail) for r in rows) if any(r)]
-        out = [eliminate(o, col, tail) for o in out]
-        pivots.append(col)
-        out.append([0] * col + tail)
-    return pivots, out
-
-
-def kernel_mod(rows: list[list[int]], ell: int) -> list[list[int]]:
-    """Basis of ``{x : A @ x = 0}`` over the field of ``ell`` elements, ``ell`` prime.
-
-    One vector per free column: 1 there, 0 at the other free columns, so the
-    basis is determined by the kernel.  Forward elimination comes first, and
-    each pivot row is dropped with its column, so nothing above a pivot is
-    touched; a matrix with no free column returns ``[]`` there, and only a
-    singular one is solved back for its kernel.
-    """
-    ncols = len(rows[0])
     rows = [[v % ell for v in r] for r in rows]
     pivots: list[int] = []
     tails: list[list[int]] = []
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
         # each row of ``rows`` is its suffix from ``col`` on; the prefix is 0
         k = next((k for k, r in enumerate(rows) if r[0]), None)
         if k is None:
@@ -225,6 +194,37 @@ def kernel_mod(rows: list[list[int]], ell: int) -> list[list[int]]:
         rows = [[(u - r[0] * v) % ell for u, v in zip(r[1:], tail)] if r[0] else r[1:] for r in rows]
         pivots.append(col)
         tails.append(tail)
+    return pivots, tails
+
+
+def _echelon_mod(rows: list[list[int]], ell: int) -> tuple[list[int], list[list[int]]]:
+    """Reduced row echelon form modulo the prime ``ell``: pivot columns and nonzero rows.
+
+    The forward elimination's rows are reduced from the last one up: each
+    later row is already zero at every other pivot column, so subtracting it
+    clears one entry and leaves the others.
+    """
+    pivots, tails = _forward_mod(rows, ell)
+    out: list[tuple[int, list[int]]] = []
+    for col, tail in zip(reversed(pivots), reversed(tails)):
+        row = [0] * col + [1] + tail
+        for c, below in out:
+            f = row[c]
+            if f:
+                row = row[:c] + [(u - f * v) % ell for u, v in zip(row[c:], below[c:])]
+        out.append((col, row))
+    return pivots, [row for _, row in reversed(out)]
+
+
+def kernel_mod(rows: list[list[int]], ell: int) -> list[list[int]]:
+    """Basis of ``{x : A @ x = 0}`` over the field of ``ell`` elements, ``ell`` prime.
+
+    One vector per free column: 1 there, 0 at the other free columns, so the
+    basis is determined by the kernel.  Only the free columns are solved
+    back; a matrix with no free column returns ``[]``.
+    """
+    ncols = len(rows[0])
+    pivots, tails = _forward_mod(rows, ell)
     taken = set(pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in taken):

@@ -7,9 +7,9 @@ cyclotomic field: the sum ``sigma = 1 + xi + ... + xi^(p-1)`` is a zero
 divisor here, and the quotient-ring structure below depends on it.
 
 The module provides truncated quotient rings, Adams operations, the integer
-kernel of the Adams constraint and its exact rank by characters of ``Z/p``,
-the closed-form fixed-element trace values, and extraction of the
-Seiberg-Witten integer from a reduced element.
+kernel of the Adams constraint, and its exact rank by characters of ``Z/p``
+together with the membership of the candidate generator
+``sigma (1-t)^(M-1)``.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 from operator import mul
 
-from .cyclo import CyclotomicNumber, is_odd_prime
+from .cyclo import is_odd_prime
 from .intlinalg import certified_kernel, integer_kernel, kernel_mod, matmul_mod, poly_inverse_mod
 
 
@@ -103,10 +102,6 @@ class RepRingElement:
         """Smallest t-exponent with a nonzero coefficient (0 when zero)."""
         return min((i for i, _ in self._c), default=0)
 
-    def support_is_group_constant(self) -> bool:
-        """True when no genuine ``xi`` powers appear."""
-        return all(j == 0 for _, j in self._c)
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
@@ -184,14 +179,6 @@ class RepRingElement:
         # distinct monomials can collide (xi^q wraps around), so accumulate
         for (i, j), c in self._c.items():
             key = (i * q, (j * q) % self.p)
-            out[key] = out.get(key, 0) + c
-        return RepRingElement(self.p, out)
-
-    def specialize_xi_one(self) -> "RepRingElement":
-        """Collapse the group variable: ``xi -> 1``."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, _), c in self._c.items():
-            key = (i, 0)
             out[key] = out.get(key, 0) + c
         return RepRingElement(self.p, out)
 
@@ -654,46 +641,40 @@ def _character_kernel(params: InstanceParameters, q: int, ell: int) -> list[list
     return out
 
 
-def _trivial_block(total: int, q: int, probe: list[int]) -> tuple[int, bool]:
-    """Nullity of the trivial character's block, and whether it annihilates ``probe``.
+def _trivial_block(total: int, q: int) -> int:
+    """Nullity of the trivial character's block.
 
     At ``xi = 1`` the constraint is ``L(y) = y(t^q) - q^l mu y`` on
     ``Z[t]/((1-t)^M)``, with ``mu = h^(sum n)`` and ``h = 1 + t + ... +
-    t^(q-1)``, and ``probe`` lists the ``t``-coefficients of ``y``.  In the
-    basis ``u^a``, ``u = 1 - t``, it is triangular: ``1 - t^q = u h`` gives
-    ``L(u^a) = u^a (h^a - q^l h^(sum n))``, and ``h = q`` at ``u = 0``, so the
-    diagonal is ``q^a - q^(l + sum n) = q^a - q^(M-1)``.  For ``q = 1`` the
-    map is 0.  For ``q >= 2`` only the last diagonal entry vanishes, so the
-    kernel over Q is the line of ``u^(M-1) = (1-t)^(M-1)``, which is
-    primitive (its coefficient at ``t^0`` is 1): nullity 1, and ``probe``
-    lies in the kernel exactly when it is ``probe[0]`` times that vector.
+    t^(q-1)``.  In the basis ``u^a``, ``u = 1 - t``, it is triangular:
+    ``1 - t^q = u h`` gives ``L(u^a) = u^a (h^a - q^l h^(sum n))``, and
+    ``h = q`` at ``u = 0``, so the diagonal is ``q^a - q^(l + sum n) = q^a -
+    q^(M-1)``.  For ``q = 1`` the map is 0.  For ``q >= 2`` only the last
+    diagonal entry vanishes, so the kernel over Q is the line of ``u^(M-1) =
+    (1-t)^(M-1)``, which is primitive (its coefficient at ``t^0`` is 1):
+    nullity 1.  Either way the block annihilates ``(1-t)^(M-1)``.
     """
-    if q == 1:
-        return total, True
-    return 1, all(v == probe[0] * (-1) ** i * math.comb(total - 1, i) for i, v in enumerate(probe))
+    return total if q == 1 else 1
 
 
-def adams_kernel_rank(params: InstanceParameters, q: int, sigma_probe: list[int]) -> tuple[int, bool]:
-    """Exact rank of the Adams kernel at exponent ``q``, and whether ``sigma * probe`` lies in it.
+def adams_kernel_rank(params: InstanceParameters, q: int) -> tuple[int, bool]:
+    """Exact rank of the Adams kernel at exponent ``q``, and whether ``sigma (1-t)^(M-1)`` lies in it.
 
-    ``sigma_probe`` lists the ``t``-coefficients of ``probe`` (one per
-    ``t``-power below the truncation total), and ``sigma * probe`` has
-    coefficient ``probe[i]`` at every ``t^i xi^j``.  This gives the rank of
-    the lattice :func:`solve_adams_kernel` returns, without the lattice, and
-    without forming the constraint matrix: the matrix splits by characters
-    of ``Z/p`` (see :func:`_character_kernel`).
+    ``M`` is the truncation total; the candidate has coefficient ``(-1)^i
+    C(M-1, i)`` at every ``t^i xi^j``.  The rank is that of the lattice
+    :func:`solve_adams_kernel` returns, found without the lattice or the
+    constraint matrix: the matrix splits by characters of ``Z/p`` (see
+    :func:`_character_kernel`).
 
     * When ``p`` does not divide ``q`` the trivial character is a block of
-      its own, triangular in the basis ``(1-t)^a``, and its nullity (1, or
-      ``M`` at ``q = 1``) is read off its diagonal (:func:`_trivial_block`).
-      ``sigma * probe`` lives in that character, so its membership is
-      decided there too.
+      its own, whose nullity (1, or ``M`` at ``q = 1``) is read off its
+      diagonal (:func:`_trivial_block`).  The candidate lives in that
+      character and lies in the block's kernel by construction.
     * The other characters are built straight from ``(m, n)`` over a prime
       ``ell = 1 (mod 2p)`` (:func:`_character_ring`), and each orbit block is
       eliminated modulo ``ell``, which bounds its nullity from above.  A
       bound of 0 decides the rank; when ``p`` divides ``q`` every character
-      is in that one block, and a kernel of 0 holds no nonzero
-      ``sigma * probe``.
+      is in that one block, and a kernel of 0 misses the nonzero candidate.
     * Only a nonzero bound builds the residual layers
       (:func:`_residual_layers`).  The kernel modulo ``ell`` is carried back
       to the monomials and lifted to rationals by
@@ -701,26 +682,22 @@ def adams_kernel_rank(params: InstanceParameters, q: int, sigma_probe: list[int]
       as it takes and at most as many as Hadamard's bound calls for; the
       lifted vectors are checked exactly against the residual, and against
       having a trivial-character part.  When ``p`` divides ``q`` the
-      membership of ``sigma * probe`` is checked against the residual too.
+      candidate, built only there, is checked against the residual too.
     """
     p, total = params.p, params.truncation().total
     first = _fourier_prime(p, 0)
     kernel = _character_kernel(params, q, first)
-    if q % p:
-        rank, contains = _trivial_block(total, q, sigma_probe)
-        if not kernel:
-            return rank, contains
-    elif not kernel:
-        # the block held every character, and a kernel of 0 holds no nonzero element
-        return 0, not any(sigma_probe)
+    rank, contains = (_trivial_block(total, q), True) if q % p else (0, False)
+    if not kernel:
+        # for p | q the block held every character, and the candidate is nonzero
+        return rank, contains
 
     layers = _residual_layers(params, q)
     powers, products = layers
     scale = q ** params.l
     if not q % p:
-        rank = 0
-        probe = [c for c in sigma_probe for _ in range(p)]
-        contains = not any(map(any, _residual(params, q, layers, [probe])[0]))
+        candidate = [(-1) ** i * math.comb(total - 1, i) for i in range(total) for _ in range(p)]
+        contains = not any(map(any, _residual(params, q, layers, [candidate])[0]))
 
     def in_kernel(vectors: list[list[int]]) -> bool:
         if q % p and any(sum(x[i * p:(i + 1) * p]) for x in vectors for i in range(total)):
@@ -758,106 +735,3 @@ def solve_adams_kernel(params: InstanceParameters, q=2) -> list[RepRingElement]:
     p = params.p
     kernel = integer_kernel(_constraint_rows(params, qs))
     return [RepRingElement(p, {divmod(r, p): v for r, v in enumerate(vec) if v}) for vec in kernel]
-
-
-# -- closed-form trace values ------------------------------------------------
-
-
-def schedule_sequential(i: int, j: int, p: int) -> int:
-    """Exponent table running ``2j, 3j, ...`` with the final factor at ``-2j``."""
-    if i == p - 1:
-        return p - 2 * j
-    return (i + 1) * j
-
-
-def schedule_doubled(i: int, j: int, p: int) -> int:
-    """Exponent table ``2ij`` throughout; agrees with the sequential one for p = 3."""
-    return 2 * i * j
-
-
-def tom_dieck_rhs(
-    t_vector,
-    k_vector,
-    j: int,
-    p: int,
-    schedule=schedule_sequential,
-) -> CyclotomicNumber:
-    """Closed-form trace of the fixed-element character at the j-th twist.
-
-    Evaluates, with ``nu`` a primitive p-th root of unity,
-
-        ``2^(t0 - k0) * prod_i (1 + nu^(i j))^(t_i)
-                       * prod_i (1 + nu^(schedule(i, j, p)))^(-k_i)``
-
-    which bakes in the trace values ``-1`` and ``0`` of the two basic
-    representations at the flat element.  The exponent table for the second
-    product is configurable because the two natural readings disagree for
-    ``p >= 5`` (they coincide for ``p = 3`` and always have the same product
-    over all twists).  No pole can occur: ``1 + nu^e`` never vanishes for odd
-    ``p``.
-    """
-    t_vector = tuple(t_vector)
-    k_vector = tuple(k_vector)
-    if len(t_vector) != p or len(k_vector) != p:
-        raise ValueError("t and k vectors must have one entry per group element")
-    if not 1 <= j <= p - 1:
-        raise ValueError("twist index must lie in 1..p-1")
-    nu = CyclotomicNumber.zeta(p)
-    two = Fraction(2) ** (t_vector[0] - k_vector[0])
-    value = CyclotomicNumber.from_rational(two, p)
-    for i in range(1, p):
-        if t_vector[i]:
-            value = value * (1 + nu ** ((i * j) % p)) ** t_vector[i]
-        if k_vector[i]:
-            e = schedule(i, j, p) % p
-            value = value * (1 + nu ** e) ** (-k_vector[i])
-    return value
-
-
-def tom_dieck_product(t_vector, k_vector, p: int, schedule=schedule_sequential) -> CyclotomicNumber:
-    """Product of the trace values over all twists ``j = 1 .. p-1``."""
-    out = CyclotomicNumber.from_rational(1, p)
-    for j in range(1, p):
-        out = out * tom_dieck_rhs(t_vector, k_vector, j, p, schedule)
-    return out
-
-
-def parity_obstruction(t_vector, k_vector, p: int) -> bool:
-    """True when the trace product is incompatible with an integral character.
-
-    The product over all twists must be ``2^(p-1)`` times an algebraic
-    integer of the p-th cyclotomic field; its coordinates in the power basis
-    are then integers.  A defect ``k_0 >= 3`` (with ``t_0 = 3``) drives the
-    2-adic valuation negative and the check fails, which is exactly the
-    mod-2 contradiction behind the defect bound.
-    """
-    prod = tom_dieck_product(t_vector, k_vector, p)
-    scaled = prod * Fraction(1, 2 ** (p - 1))
-    return any(c.denominator != 1 for c in scaled.coeffs)
-
-
-def extract_sw(beta: RepRingElement, m: int, d: int) -> int:
-    """Coefficient of ``T^(m-d-1)`` (``T = 1 - t``): the invariant up to sign.
-
-    ``beta`` must have the group variable already specialized away and be
-    reduced modulo ``T^(m-d)``.  Support below degree ``m - d - 1`` in ``T``
-    means the element is not of the mandated form and raises.
-    """
-    if not beta.support_is_group_constant():
-        raise ValueError("specialize the group variable to 1 first")
-    top = m - d - 1
-    if top < 0:
-        raise ValueError("truncation order must be positive")
-    if beta.t_valuation() < 0 or beta.t_degree() >= m - d:
-        raise ValueError("element is not reduced modulo T^(m-d)")
-    poly = {i: c for (i, _), c in beta._c.items()}
-    coeff_at = lambda r: sum(
-        c * math.comb(i, r) * (-1) ** r for i, c in poly.items() if i >= r
-    )
-    for r in range(top):
-        if coeff_at(r) != 0:
-            raise ValueError(
-                "element has support below the top truncation degree; "
-                "not a multiple of T^(m-d-1)"
-            )
-    return coeff_at(top)

@@ -22,12 +22,10 @@ fails a necessary condition), ``NoObstruction``.
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .cyclo import IntPolynomial
 from .dataset import ClassCounts, FixedPointDataset, ManifoldInvariants, class_counts
 from .lefschetz import (
     KVector,
@@ -251,38 +249,24 @@ class VanishingReport(
     __slots__ = ()
 
 
-def _scalar_constraint_poly(p: int, k_total: int, l: int) -> IntPolynomial:
-    """Residual of the cofactor identity at the top Adams exponent, flat group variable.
-
-    For the candidate ``a * sigma * (1-t)^(M-1)`` the cancelled identity at
-    exponent ``q = p`` with the group variable sent to 1 reads
-    ``a p (1 + t + ... + t^(p-1))^(sum k - 1) = a p^(l+1)``; the difference
-    of the two sides is returned.  A nonzero polynomial forces ``a = 0``.
-    """
-    if k_total - 1 < 0:
-        raise ValueError("defect total below 1; the cofactor identity degenerates")
-    ones = IntPolynomial((1,) * p)
-    return p * ones ** (k_total - 1) - IntPolynomial((p ** (l + 1),))
-
-
 def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingReport:
     """Run the full vanishing verification on one parameter set.
 
     Steps: check the hypotheses (``k_0 <= l`` and equal tail defects); take
-    the exact rank of the Adams kernel at exponent ``q`` character block by
-    character block (:func:`~equispin.repring.adams_kernel_rank`), without
-    the kernel lattice itself.  The trivial character's block is triangular
-    in the basis ``(1-t)^a`` and is read off its diagonal; every other block
-    is bounded modulo a prime, and a nonzero bound is certified by lifting
-    its kernel to rationals and checking each vector exactly.  The predicted
-    generator ``sigma (1-t)^(M-1)`` lives in the trivial character, so it
-    lies in the kernel exactly when that block annihilates its
-    ``t``-coefficients (the residual is linear and its normal form unique,
-    so this is ``adams_constraint_residual(...).is_zero()``); it is
-    primitive, so it spans the kernel exactly when it lies in it and the
-    rank is 1.  Then run the top-exponent specialization that forces the
-    remaining integer scalar to vanish, which pins the Seiberg-Witten integer
-    of the trivial spin-c structure to 0.
+    the exact rank of the Adams kernel at exponent ``q``, and whether the
+    predicted generator ``sigma (1-t)^(M-1)`` lies in it, character block by
+    character block (:func:`~equispin.repring.adams_kernel_rank`).  When
+    ``p`` does not divide ``q`` the generator spans the trivial block's
+    kernel, so it lies in the kernel by construction.  It is primitive, so it
+    spans the kernel exactly when it lies in it and the rank is 1.
+
+    The top-exponent specialization then decides the remaining integer
+    scalar ``a``: at ``q = p`` and ``xi -> 1`` the cancelled identity reads
+    ``a p (1 + t + ... + t^(p-1))^(sum k - 1) = a p^(l+1)``, whose two sides
+    differ as polynomials unless ``sum k = 1`` and ``l = 0``.  So ``a = 0``,
+    and with it the Seiberg-Witten integer of the trivial spin-c structure,
+    is forced exactly when ``sum k > 1`` or ``l > 0``.  A defect total below
+    1 leaves no identity and raises.
 
     The Hermite basis of the kernel is still
     :func:`~equispin.repring.solve_adams_kernel`.
@@ -299,16 +283,14 @@ def verify_sw_vanishing(params: InstanceParameters, q: int = 2) -> VanishingRepo
                 f"got {k}); no conclusion"
             ),
         )
-    total = params.truncation().total
-    # sigma (1-t)^(M-1) has coefficient (-1)^i C(M-1, i) at every t^i xi^j
-    candidate = [(-1) ** i * math.comb(total - 1, i) for i in range(total)]
-    rank, contains = adams_kernel_rank(params, q, candidate)
+    rank, contains = adams_kernel_rank(params, q)
     # the candidate's coefficient at t^0 is 1, so it is primitive: it spans
     # the saturated kernel exactly when it lies in a kernel of rank 1
     spanned = rank == 1 and contains
 
-    residual = _scalar_constraint_poly(params.p, sum(k), l)
-    forced = not residual.is_zero()
+    if sum(k) < 1:
+        raise ValueError("defect total below 1; the cofactor identity degenerates")
+    forced = sum(k) > 1 or l > 0
     return VanishingReport(
         hypotheses_met=True,
         detail=(

@@ -30,6 +30,13 @@ value: a realness check, a reduction to the minimal conductor by a linear
 solve, and a rationality test there.  ``fourier_inverse`` recovers the
 defects ``(1/p) sum_j nu^(-i j) Spin(j)`` from a list of values by
 multiplication in ``Q(zeta_p)``.
+
+``tom_dieck_rhs`` and ``tom_dieck_product`` are the closed-form traces of
+the fixed-element character, one twist at a time and over all twists, under
+either exponent table (``schedule_sequential``, ``schedule_doubled``), and
+``parity_obstruction`` is the 2-adic integrality check of their product.
+The ``trace-schedule-ambiguity`` note and the ``defect-bound`` wording cite
+them; no command computes them.
 """
 
 from __future__ import annotations
@@ -361,3 +368,76 @@ def fourier_inverse(values) -> tuple:
         acc = acc * Fraction(1, p)
         out.append(acc.to_rational() if acc.is_rational() else None)
     return tuple(out)
+
+
+def schedule_sequential(i: int, j: int, p: int) -> int:
+    """Exponent table running ``2j, 3j, ...`` with the final factor at ``-2j``."""
+    if i == p - 1:
+        return p - 2 * j
+    return (i + 1) * j
+
+
+def schedule_doubled(i: int, j: int, p: int) -> int:
+    """Exponent table ``2ij`` throughout; agrees with the sequential one for p = 3."""
+    return 2 * i * j
+
+
+def tom_dieck_rhs(
+    t_vector,
+    k_vector,
+    j: int,
+    p: int,
+    schedule=schedule_sequential,
+) -> CyclotomicNumber:
+    """Closed-form trace of the fixed-element character at the j-th twist.
+
+    Evaluates, with ``nu`` a primitive p-th root of unity,
+
+        ``2^(t0 - k0) * prod_i (1 + nu^(i j))^(t_i)
+                       * prod_i (1 + nu^(schedule(i, j, p)))^(-k_i)``
+
+    which bakes in the trace values ``-1`` and ``0`` of the two basic
+    representations at the flat element.  The exponent table for the second
+    product is configurable because the two natural readings disagree for
+    ``p >= 5`` (they coincide for ``p = 3`` and always have the same product
+    over all twists).  No pole can occur: ``1 + nu^e`` never vanishes for odd
+    ``p``.
+    """
+    t_vector = tuple(t_vector)
+    k_vector = tuple(k_vector)
+    if len(t_vector) != p or len(k_vector) != p:
+        raise ValueError("t and k vectors must have one entry per group element")
+    if not 1 <= j <= p - 1:
+        raise ValueError("twist index must lie in 1..p-1")
+    nu = CyclotomicNumber.zeta(p)
+    two = Fraction(2) ** (t_vector[0] - k_vector[0])
+    value = CyclotomicNumber.from_rational(two, p)
+    for i in range(1, p):
+        if t_vector[i]:
+            value = value * (1 + nu ** ((i * j) % p)) ** t_vector[i]
+        if k_vector[i]:
+            e = schedule(i, j, p) % p
+            value = value * (1 + nu ** e) ** (-k_vector[i])
+    return value
+
+
+def tom_dieck_product(t_vector, k_vector, p: int, schedule=schedule_sequential) -> CyclotomicNumber:
+    """Product of the trace values over all twists ``j = 1 .. p-1``."""
+    out = CyclotomicNumber.from_rational(1, p)
+    for j in range(1, p):
+        out = out * tom_dieck_rhs(t_vector, k_vector, j, p, schedule)
+    return out
+
+
+def parity_obstruction(t_vector, k_vector, p: int) -> bool:
+    """True when the trace product is incompatible with an integral character.
+
+    The product over all twists must be ``2^(p-1)`` times an algebraic
+    integer of the p-th cyclotomic field; its coordinates in the power basis
+    are then integers.  A defect ``k_0 >= 3`` (with ``t_0 = 3``) drives the
+    2-adic valuation negative and the check fails, which is exactly the
+    mod-2 contradiction behind the defect bound.
+    """
+    prod = tom_dieck_product(t_vector, k_vector, p)
+    scaled = prod * Fraction(1, 2 ** (p - 1))
+    return any(c.denominator != 1 for c in scaled.coeffs)

@@ -70,9 +70,7 @@ def _oracle(params, q):
 
 
 def _fast(params, q):
-    total = params.truncation().total
-    # at p = 1 the candidate vector is its list of t-coefficients
-    rank, contains = adams_kernel_rank(params, q, candidate_vector(1, total))
+    rank, contains = adams_kernel_rank(params, q)
     return rank, contains, rank == 1 and contains
 
 
@@ -227,28 +225,21 @@ def trivial_block_cases(per_shape: int, seed: int = 0):
                             yield params, q
 
 
-def check_trivial_block(params, q, rng):
+def check_trivial_block(params, q):
     total = params.truncation().total
     block = trivial_block(params, q, normal_form_layers(params, q))
     kernel = integer_kernel(block)
-    candidate = candidate_vector(1, total)
-    rank = _trivial_block(total, q, candidate)[0]
-    assert rank == len(kernel)
+    assert _trivial_block(total, q) == len(kernel)
     if q == 1:
         assert kernel == [[int(i == j) for j in range(total)] for i in range(total)]
     else:
-        assert kernel == [candidate]
-    bumped = list(candidate)
-    bumped[rng.randrange(total)] += 1
-    for probe in (candidate, [-3 * v for v in candidate], bumped, [0] * total, [rng.randint(-2, 2) for _ in candidate]):
-        assert _trivial_block(total, q, probe) == (rank, annihilates(block, probe)), probe
+        assert kernel == [candidate_vector(1, total)]
 
 
 def test_trivial_block_rule_matches_hermite_kernel():
     # a sample; trivial_block_cases(20) gives 1,800 cases
-    rng = random.Random(1)
     for params, q in trivial_block_cases(2):
-        check_trivial_block(params, q, rng)
+        check_trivial_block(params, q)
 
 
 def test_adams_sweep_builds_layers_only_to_certify(monkeypatch, tmp_path):

@@ -157,6 +157,26 @@ class TestProp41Command:
         assert payload["scalar_forced_zero"] is True
         assert payload["sw_value"] == 0
 
+    def test_scalar_not_forced_at_unit_defect_total_and_l_zero(self, capsys):
+        code, out, err = run(
+            capsys, "prop41", "--p", "3", "--m", "1,2,2", "--n", "2,1,1", "--l", "0", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["scalar_forced_zero"] is False
+        assert payload["sw_value"] is None
+        assert payload["detail"] == (
+            "kernel rank 3; candidate generator lies in the kernel; "
+            "scalar not forced by the top-exponent specialization"
+        )
+
+    def test_defect_total_below_one_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "prop41", "--p", "3", "--m", "1,1,1", "--n", "1,1,1", "--l", "0", "--d", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: defect total below 1; the cofactor identity degenerates\n"
+
     def test_invalid_vectors_exit_two(self, capsys):
         code, _, err = run(capsys, "prop41", "--m", "2,2,2", "--n", "2,2,2")
         assert code == 2
@@ -262,13 +282,20 @@ class TestBatchMode:
         assert code == 0
         assert [entry["file"] for entry in json.loads(out)["results"]] == ["a.json", "b.json"]
 
-    def test_directory_named_like_a_dataset_exits_three(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ("verdict", "kvector"))
+    def test_directory_named_like_a_dataset_is_skipped(self, capsys, tmp_path, command):
+        # only regular files are datasets: a subdirectory named like one is skipped
         (tmp_path / "a.json").write_text(FERMAT_JSON, encoding="utf-8")
-        (tmp_path / "b.json").mkdir()
-        code, out, err = run(capsys, "verdict", "--batch", str(tmp_path))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: [Errno 21] Is a directory: ")
+        (tmp_path / "sub.json").mkdir()
+        code, out, err = run(capsys, command, "--batch", str(tmp_path), "--format", "json")
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert [entry["file"] for entry in results] == ["a.json"]
+        assert "report" in results[0]
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "a.json").write_text(FERMAT_JSON, encoding="utf-8")
+        assert run(capsys, command, "--batch", str(alone), "--format", "json")[1] == out
 
 
 class TestSelftest:

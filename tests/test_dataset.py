@@ -16,7 +16,6 @@ from equispin.dataset import (
     HalfWeightSurface,
     IsolatedPoint,
     ManifoldInvariants,
-    canonical_json,
     class_counts,
     fermat_quartic,
     normalize_half_weights,
@@ -24,6 +23,15 @@ from equispin.dataset import (
     serialize_dataset,
     to_json,
 )
+
+
+def canonical_json(text: str) -> str:
+    """Canonical JSON text of a raw document, to compare with ``to_json`` of its parse."""
+    doc = json.loads(text)
+    doc.setdefault("isolated", [])
+    doc.setdefault("surfaces", [])
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
 
 FERMAT_DOC = {
     "p": 3,

@@ -13,18 +13,19 @@ from equispin.repring import (
     TruncationIdeal,
     _constraint_rows,
     adams_constraint_residual,
-    extract_sw,
     normal_form,
     one_minus_t_xi,
+    solve_adams_kernel,
+)
+
+from oracles import (
+    normal_form_constraint_rows,
     parity_obstruction,
     schedule_doubled,
     schedule_sequential,
-    solve_adams_kernel,
     tom_dieck_product,
     tom_dieck_rhs,
 )
-
-from oracles import normal_form_constraint_rows
 
 ONE = RepRingElement.one(3)
 T = RepRingElement.t(3)
@@ -258,29 +259,3 @@ class TestTomDieck:
         assert parity_obstruction((3, 0, 0, 0, 0), (4, 1, -1, -1, -1), 5)
         assert not parity_obstruction((3, 0, 0), (2, 0, 0), 3)
         assert not parity_obstruction((3, 0, 0), (0, 1, 1), 3)
-
-
-class TestExtractSw:
-    def test_multiple_of_top_power(self):
-        # 3 T^3 for truncation T^4
-        beta = 3 * (ONE - T) ** 3
-        assert extract_sw(beta, 4, 0) == 3
-
-    def test_zero(self):
-        assert extract_sw(RepRingElement.zero(3), 4, 0) == 0
-
-    def test_low_support_rejected(self):
-        with pytest.raises(ValueError, match="support below"):
-            extract_sw(ONE, 4, 0)
-
-    def test_group_variable_must_be_flat(self):
-        with pytest.raises(ValueError, match="group variable"):
-            extract_sw(RepRingElement.xi(3), 4, 0)
-
-    def test_forced_zero_scenario(self):
-        # the vanishing argument produces the zero class; its invariant is 0
-        assert extract_sw(0 * SIGMA.specialize_xi_one(), 6, 0) == 0
-
-    def test_virtual_dimension_shift(self):
-        beta = -2 * (ONE - T) ** 2
-        assert extract_sw(beta, 4, 1) == -2

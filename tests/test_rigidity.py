@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from equispin.cyclo import CyclotomicNumber, half_angle_csc
+from equispin.cyclo import CyclotomicNumber, IntPolynomial, half_angle_csc
 from equispin.dataset import (
     FixedPointDataset,
     FixedSurface,
@@ -300,6 +300,30 @@ class TestVerifyProp41:
         assert report.kernel_contains_expected
         assert report.scalar_forced_zero and report.sw_value == 0
 
+    def test_scalar_step_matches_cofactor_polynomial(self, monkeypatch):
+        # the difference p (1 + t + ... + t^(p-1))^(sum k - 1) - p^(l+1) of the
+        # cancelled identity forces the scalar to 0 exactly when it is nonzero
+        monkeypatch.setattr(rigidity, "adams_kernel_rank", lambda params, q: (1, True))
+        cases = 0
+        for p in (3, 5, 7, 11, 13):
+            for total in range(1, 10):
+                for l in range(6):
+                    tail = max(0, -(-(total - l) // (p - 1)))
+                    kv = KVector(p, (total - (p - 1) * tail,) + (tail,) * (p - 1))
+                    d = total - l - 1
+                    report = verify_sw_vanishing(derive_instance(kv, l=l, d=d, pad=max(1, d)))
+                    residual = p * IntPolynomial((1,) * p) ** (total - 1) - IntPolynomial((p ** (l + 1),))
+                    assert report.hypotheses_met
+                    assert report.scalar_forced_zero == (not residual.is_zero()), (p, total, l)
+                    assert report.sw_value == (0 if report.scalar_forced_zero else None)
+                    cases += 1
+        assert cases == 270
+
+    def test_defect_total_below_one_raises(self):
+        params = InstanceParameters(p=3, m_vector=(1, 1, 1), n_vector=(1, 1, 1), l=0, d=-1)
+        with pytest.raises(ValueError, match="defect total below 1"):
+            verify_sw_vanishing(params)
+
     def test_derive_instance_bookkeeping(self):
         params = derive_instance(KVector(3, (0, 1, 1)))
         assert params.k_vector == (0, 1, 1)
@@ -364,9 +388,9 @@ class TestVanishingCache:
         calls = []
         rank = rigidity.adams_kernel_rank
 
-        def counted(params, q, probe):
+        def counted(params, q):
             calls.append(params.p * params.truncation().total)
-            return rank(params, q, probe)
+            return rank(params, q)
 
         monkeypatch.setattr(rigidity, "adams_kernel_rank", counted)
         return calls
