@@ -34,10 +34,8 @@ from .lefschetz import (
     KVector,
     NonIntegralDefectError,
     SpinNumberTuple,
-    euler_quotient_p3,
     k_vector,
     orbit_space_p3,
-    signature_quotient_p3,
     spin_index,
     spin_number,
     spin_number_tuple,
@@ -86,10 +84,8 @@ __all__ = [
     "KVector",
     "NonIntegralDefectError",
     "SpinNumberTuple",
-    "euler_quotient_p3",
     "k_vector",
     "orbit_space_p3",
-    "signature_quotient_p3",
     "spin_index",
     "spin_number",
     "spin_number_tuple",

@@ -16,18 +16,18 @@ built once per class from the product of two ``1/(1 - nu^x)`` factors,
 whose integer coefficients follow a Dedekind-sum recurrence in O(p) steps;
 no field inversion, convolution or linear solve is involved.
 
-Everything else is derived from the defect vector.  A
-:class:`SpinNumberTuple` holds it, and ``Spin(j) = sum_i k_i nu^(i j)`` is
-read off it as power-basis coordinates at conductor p, with no field
-element built (:meth:`SpinNumberTuple.coordinates`): since ``nu^(p-1) =
--(1 + nu + ... + nu^(p-2))``, the coordinate at ``nu^e`` (``e`` in
-``0..p-2``) is ``k_(e/j) - k_((p-1)/j)``, indices mod p, and ``Spin(0) =
-sum_i k_i``.  Integrality of the defects is checked by :func:`k_vector`.
-The literal per-power evaluation in ``Q(zeta_2p)`` (:func:`spin_number`)
-and the trigonometric formula (:func:`spin_number_from_angles`) stay as
-independent oracles, off the verdict path.  The order-3 quotient formulas
-give the signature and Euler characteristic of the orbit space as exact
-rationals.
+A :class:`SpinNumberTuple` holds the defects as integer numerators over
+``2 p^3``: realness and rationality are integer comparisons, integrality
+(:func:`k_vector`) is divisibility, and a ``Fraction`` is built only for a
+printed or raised value.  ``Spin(j) = sum_i k_i nu^(i j)`` is read off them
+as power-basis coordinates at conductor p, with no field element built
+(:meth:`SpinNumberTuple.coordinates`): since ``nu^(p-1) = -(1 + nu + ... +
+nu^(p-2))``, the coordinate at ``nu^e`` (``e`` in ``0..p-2``) is ``k_(e/j) -
+k_((p-1)/j)``, indices mod p, and ``Spin(0) = sum_i k_i``.  The per-power
+evaluation in ``Q(zeta_2p)`` (:func:`spin_number`) and the trigonometric
+formula (:func:`spin_number_from_angles`) stay as independent oracles.  The
+order-3 quotient formulas give the orbit-space signature and Euler
+characteristic as exact rationals.
 
 The per-power oracle shifts each half-weight residue into the even-sum class
 mod 2p, sign out front: only that class makes every twist real and symmetric
@@ -135,22 +135,19 @@ def _surface_table(p: int, c: int, s: int) -> tuple[int, ...]:
     return _table(x, c * (p + 1) // 2 % p, -s)
 
 
-def defect_vector(counts: ClassCounts) -> tuple[Fraction, ...]:
-    """Rational eigenspace defects ``(k_0, ..., k_{p-1})``, one table per class.
+def defect_vector(counts: ClassCounts) -> tuple[int, ...]:
+    """Eigenspace defects ``(k_0, ..., k_{p-1})`` as integer numerators over ``2 p^3``, one table per class.
 
-    They are integers for a consistent dataset; :func:`k_vector` checks that.
+    The defects are integers for a consistent dataset; :func:`k_vector` checks that.
     """
     p = counts.p
-    index = spin_index(counts.manifold)
-    acc = [0] * p
+    acc = [2 * p * p * spin_index(counts.manifold)] * p  # -sigma/(8p) over 2 p^3
     for (a, b, s), n in counts.points:
         acc = [x + n * t for x, t in zip(acc, _point_table(p, a, b, s))]
     for (c, s), e in counts.surfaces:
         if e:
             acc = [x + e * t for x, t in zip(acc, _surface_table(p, c, s))]
-    denominator = 2 * p**3
-    base = 2 * p * p * index.numerator  # -sigma/(8p) over 2 p^3; the index is an integer
-    return tuple(Fraction(base + x, denominator) for x in acc)
+    return tuple(acc)
 
 
 def spin_number(dataset: FixedPointDataset, j: int) -> CyclotomicNumber:
@@ -192,19 +189,20 @@ def spin_number_from_angles(dataset: FixedPointDataset) -> CyclotomicNumber:
     return total.reduced()
 
 
-def spin_index(manifold: ManifoldInvariants) -> Fraction:
-    """The untwisted index ``-signature / 8``."""
+def spin_index(manifold: ManifoldInvariants) -> int:
+    """The untwisted index ``-signature / 8``, an integer."""
     if not manifold.is_spin:
         raise ValueError("the index formula needs a spin manifold")
     if manifold.signature % 8 != 0:
         raise ValueError("signature must be divisible by 8")
-    return Fraction(-manifold.signature, 8)
+    return -manifold.signature // 8
 
 
-class SpinNumberTuple(namedtuple("SpinNumberTuple", "p defects")):
-    """Spin numbers of all powers, held as their rational defect vector.
+class SpinNumberTuple(namedtuple("SpinNumberTuple", "p defects denominator")):
+    """Spin numbers of all powers, held as their defect vector over one denominator.
 
-    ``Spin(j) = sum_i defects[i] nu^(i j)``, so slot 0 is the full index
+    The i-th defect is ``defects[i] / denominator``, with integer ``defects``.
+    ``Spin(j) = sum_i k_i nu^(i j)``, so slot 0 is the full index
     ``-sigma/8``.  A value is read off the defects as its coordinates.
     """
 
@@ -215,25 +213,25 @@ class SpinNumberTuple(namedtuple("SpinNumberTuple", "p defects")):
 
         ``Spin(0) = sum_i k_i`` sits at ``nu^0``; a value is rational when all other coordinates are 0.
         """
-        p, k = self
+        p, k, d = self
         if j % p == 0:
-            return (sum(k),) + (0,) * (p - 2)
+            return (Fraction(sum(k), d),) + (0,) * (p - 2)
         step = pow(j, -1, p)
         last = k[(p - 1) * step % p]
-        return tuple(k[e * step % p] - last for e in range(p - 1))
+        return tuple(Fraction(k[e * step % p] - last, d) for e in range(p - 1))
 
     def check(self) -> None:
         """Realness of every entry, hence symmetry under ``j -> p - j``: ``k_i = k_(p-i)``."""
-        p, d = self
-        for i in range(1, p):
-            if d[i] != d[p - i]:
-                raise ValueError(f"spin numbers are not real: defects {i} and {p - i} differ")
+        p, k, _ = self
+        if k[1:] != k[:0:-1]:
+            i = next(i for i in range(1, p) if k[i] != k[p - i])
+            raise ValueError(f"spin numbers are not real: defects {i} and {p - i} differ")
 
 
 def spin_number_tuple(source: FixedPointDataset | ClassCounts) -> SpinNumberTuple:
     """All spin numbers of a dataset or its class counts, with the realness check run."""
     counts = source if isinstance(source, ClassCounts) else class_counts(source)
-    out = SpinNumberTuple(counts.p, defect_vector(counts))
+    out = SpinNumberTuple(counts.p, defect_vector(counts), 2 * counts.p**3)
     out.check()
     return out
 
@@ -244,10 +242,14 @@ class KVector(namedtuple("KVector", "p k")):
     __slots__ = ()
 
     def __new__(cls, p, k):
-        k = tuple(int(v) for v in k)
-        if len(k) != p:
+        k = tuple(k)
+        ints = tuple(map(int, k))
+        if ints != k:  # equal by value exactly when every entry is an integer
+            i = next(i for i, v in enumerate(k) if int(v) != v)
+            raise ValueError(f"defect {i} is not an integer: {k[i]}")
+        if len(ints) != p:
             raise ValueError("defect vector must have one entry per group element")
-        return tuple.__new__(cls, (p, k))
+        return tuple.__new__(cls, (p, ints))
 
     @classmethod
     def _make(cls, iterable):
@@ -268,14 +270,16 @@ class KVector(namedtuple("KVector", "p k")):
 def k_vector(spins: SpinNumberTuple) -> KVector:
     """The integer eigenspace defects ``k_i = (1/p) sum_j nu^(-i j) Spin(j)`` of a tuple.
 
-    Slot 0 carries the full index.  Raises :class:`NonIntegralDefectError` at
-    the first defect that is not an integer: the candidate dataset is then
+    Slot 0 carries the full index.  A defect is an integer when the
+    denominator divides its numerator.  Raises :class:`NonIntegralDefectError`
+    at the first defect that is not an integer: the candidate dataset is then
     inconsistent.
     """
-    for i, value in enumerate(spins.defects):
-        if value.denominator != 1:
-            raise NonIntegralDefectError(f"defect {i} is not an integer: {value}")
-    return KVector(*spins)
+    p, defects, d = spins
+    for i, n in enumerate(defects):
+        if n % d:
+            raise NonIntegralDefectError(f"defect {i} is not an integer: {Fraction(n, d)}")
+    return KVector(p, [n // d for n in defects])
 
 
 def synthesize_spins(kv: KVector) -> SpinNumberTuple:
@@ -283,7 +287,7 @@ def synthesize_spins(kv: KVector) -> SpinNumberTuple:
 
     No realness check is run: any integer vector has a tuple.
     """
-    return SpinNumberTuple(kv.p, tuple(Fraction(k) for k in kv.k))
+    return SpinNumberTuple(kv.p, kv.k, 1)
 
 
 # -- order-3 quotient formulas ---------------------------------------------

@@ -95,11 +95,11 @@ def classify_spin(spins: SpinNumberTuple, j: int = 1, precision_bits: int = 80) 
     value's coordinates are read, for its advisory numeric estimate (sign
     ``unknown-irrational``); the exact pipeline never branches on it.
     """
-    k = spins.defects
-    if j % spins.p == 0:
-        return _rational_class(sum(k))
-    if all(v == k[1] for v in k[2:]):
-        return _rational_class(k[0] - k[1])
+    p, k, d = spins
+    if j % p == 0:
+        return _rational_class(Fraction(sum(k), d))
+    if k[2:] == k[1:-1]:  # k_1 = ... = k_(p-1)
+        return _rational_class(Fraction(k[0] - k[1], d))
     return SpinClass(
         rational=False,
         value=None,

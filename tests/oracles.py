@@ -19,6 +19,11 @@ factors' exponent vectors, as the tables once did.
 ``half_weight_point_table`` and ``half_weight_surface_table`` are the defect
 tables keyed by the half-weight residues mod 2p, shifted into the even-sum
 class, as the program built them before it keyed them by class.
+``fraction_defect_vector``, ``fraction_k_vector`` and ``fraction_spin_class``
+are the defect route with one ``Fraction`` per coordinate, as the program
+took it before it kept the defects as integer numerators over ``2 p^3``:
+integrality read off each denominator, rationality and coordinates by
+``Fraction`` subtraction.
 
 The last four work in the cyclotomic field, where the program reads the
 defect vector instead.  ``spin_value`` builds ``Spin(j)`` of a spin-number
@@ -46,7 +51,17 @@ from fractions import Fraction
 
 from equispin.cyclo import CyclotomicNumber
 from equispin.intlinalg import extended_gcd
-from equispin.lefschetz import _even_class, _pair, _table
+from equispin.lefschetz import (
+    KVector,
+    NonIntegralDefectError,
+    SpinNumberTuple,
+    _even_class,
+    _pair,
+    _point_table,
+    _surface_table,
+    _table,
+    spin_index,
+)
 from equispin.repring import (
     InstanceParameters,
     RepRingElement,
@@ -54,8 +69,7 @@ from equispin.repring import (
     adams_multiplier,
     normal_form,
 )
-from equispin.lefschetz import SpinNumberTuple
-from equispin.rigidity import SIGN_UNKNOWN, SpinClass, _rational_class
+from equispin.rigidity import SIGN_UNKNOWN, SpinClass, _rational_class, numeric_estimate
 
 
 def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
@@ -304,7 +318,8 @@ def half_weight_surface_table(p: int, c: int) -> tuple[int, ...]:
 
 def spin_value(spins: SpinNumberTuple, j: int) -> CyclotomicNumber:
     """``Spin(j)`` of a tuple at its minimal conductor (1 or p): ``k_(e/j) - k_((p-1)/j)`` at ``nu^e``."""
-    p, k = spins
+    p, numerators, d = spins
+    k = [Fraction(n, d) for n in numerators]
     if j % p == 0:
         return CyclotomicNumber.from_rational(sum(k))
     step = pow(j, -1, p)
@@ -318,6 +333,46 @@ def spin_value(spins: SpinNumberTuple, j: int) -> CyclotomicNumber:
 def spin_values(spins: SpinNumberTuple) -> tuple[CyclotomicNumber, ...]:
     """Every ``Spin(j)``, ``j`` in ``0..p-1``, as :func:`spin_value` builds it."""
     return tuple(spin_value(spins, j) for j in range(spins.p))
+
+
+def fraction_defect_vector(counts) -> tuple[Fraction, ...]:
+    """The defects of class counts with one ``Fraction`` per coordinate.
+
+    The tables summed, as :func:`~equispin.lefschetz.defect_vector` sums them,
+    and each sum then divided by ``2 p^3``.
+    """
+    p = counts.p
+    index = spin_index(counts.manifold)
+    acc = [0] * p
+    for (a, b, s), n in counts.points:
+        acc = [x + n * t for x, t in zip(acc, _point_table(p, a, b, s))]
+    for (c, s), e in counts.surfaces:
+        if e:
+            acc = [x + e * t for x, t in zip(acc, _surface_table(p, c, s))]
+    denominator = 2 * p**3
+    base = 2 * p * p * index  # -sigma/(8p) over 2 p^3
+    return tuple(Fraction(base + x, denominator) for x in acc)
+
+
+def fraction_k_vector(p: int, defects) -> KVector:
+    """Integrality of ``Fraction`` defects read off their denominators, as a :class:`KVector`."""
+    for i, value in enumerate(defects):
+        if value.denominator != 1:
+            raise NonIntegralDefectError(f"defect {i} is not an integer: {value}")
+    return KVector(p, [int(v) for v in defects])
+
+
+def fraction_spin_class(p: int, defects, j: int = 1, precision_bits: int = 80) -> SpinClass:
+    """The :class:`SpinClass` of ``Spin(j)`` from ``Fraction`` defects; coordinates by subtraction."""
+    k = defects
+    if j % p == 0:
+        return _rational_class(sum(k))
+    if all(v == k[1] for v in k[2:]):
+        return _rational_class(k[0] - k[1])
+    step = pow(j, -1, p)
+    last = k[(p - 1) * step % p]
+    coordinates = tuple(k[e * step % p] - last for e in range(p - 1))
+    return SpinClass(False, None, SIGN_UNKNOWN, numeric_estimate(coordinates, precision_bits))
 
 
 def field_estimate(value: CyclotomicNumber, bits: int = 80) -> str:

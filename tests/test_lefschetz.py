@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from equispin import cyclo, dataset, lefschetz
+from equispin import cli, cyclo, dataset, lefschetz
 from equispin.cyclo import CyclotomicNumber
 
 from equispin.dataset import (
@@ -20,6 +20,7 @@ from equispin.dataset import (
     class_counts,
     fermat_quartic,
     normalize_half_weights,
+    to_json,
 )
 from equispin.lefschetz import (
     KVector,
@@ -35,16 +36,21 @@ from equispin.lefschetz import (
     spin_number_tuple,
     synthesize_spins,
 )
+from equispin.rigidity import classify_spin
 
 from conftest import random_dataset
 from oracles import (
     convolved_pair,
     fourier_inverse,
+    fraction_defect_vector,
+    fraction_k_vector,
+    fraction_spin_class,
     half_weight_point_table,
     half_weight_surface_table,
     spin_value,
     spin_values,
 )
+from test_cli_golden import DATASETS as GOLDEN_DATASETS
 
 K3 = ManifoldInvariants.k3()
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -136,8 +142,11 @@ class TestSpinIndex:
 
 
 def _inverted(values) -> SpinNumberTuple:
-    """The tuple whose spin numbers are ``values``, by the field oracle's Fourier inversion."""
-    return SpinNumberTuple(len(values), fourier_inverse(values))
+    """The tuple over ``2 p^3`` whose spin numbers are ``values``, by the field's Fourier inversion."""
+    p = len(values)
+    scaled = [v * 2 * p**3 for v in fourier_inverse(values)]
+    assert all(v.denominator == 1 for v in scaled)
+    return SpinNumberTuple(p, tuple(int(v) for v in scaled), 2 * p**3)
 
 
 class TestKVector:
@@ -178,6 +187,71 @@ class TestKVector:
         kv = KVector(3, (2, 0, 0))
         assert kv.shifted(1).k == (0, 0, 2)
         assert kv.shifted(2).k == (0, 2, 0)
+
+    def test_non_integer_entries_are_refused(self):
+        # truncating them would turn (5/2, -1/2, 0) into (2, 0, 0), a valid K3 defect vector
+        for k in ((Fraction(5, 2), Fraction(-1, 2), 0), (2.9, 0.5, -0.4)):
+            with pytest.raises(ValueError, match="defect 0 is not an integer"):
+                KVector(3, k)
+        with pytest.raises(ValueError, match="defect 2 is not an integer: 1/3"):
+            KVector(3, (2, 0, Fraction(1, 3)))
+        with pytest.raises(ValueError, match="defect 0 is not an integer: 1.5"):
+            KVector(3, (2, 0, 0))._replace(k=(1.5, 0, 0))
+        assert KVector(3, (Fraction(2), 0.0, 0)).k == (2, 0, 0)
+
+
+class TestIntegerRoute:
+    """The numerators over ``2 p^3`` against the route with one ``Fraction`` per defect."""
+
+    @staticmethod
+    def _assert_routes_agree(d):
+        counts = class_counts(d)
+        spins = spin_number_tuple(counts)
+        p, numerators, denominator = spins
+        want = fraction_defect_vector(counts)
+        assert tuple(Fraction(n, denominator) for n in numerators) == want
+        try:
+            kv = fraction_k_vector(p, want)
+        except NonIntegralDefectError as exc:
+            with pytest.raises(NonIntegralDefectError) as got:
+                k_vector(spins)
+            assert str(got.value) == str(exc)
+        else:
+            assert k_vector(spins) == kv
+        assert classify_spin(spins) == fraction_spin_class(p, want)
+
+    def test_golden_datasets(self):
+        for d in GOLDEN_DATASETS.values():
+            self._assert_routes_agree(d)
+
+    @pytest.mark.parametrize("p", PRIMES_TO_31)
+    def test_random_datasets(self, p):
+        rng = random.Random(4099 + p)
+        for _ in range(200):
+            self._assert_routes_agree(random_dataset(rng, p=p))
+
+    def test_integral_kvector_builds_no_fraction(self, capsys, monkeypatch, tmp_path):
+        paths = []
+        for name, d in GOLDEN_DATASETS.items():
+            try:
+                k_vector(spin_number_tuple(d))
+            except NonIntegralDefectError:
+                continue
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(to_json(d), encoding="utf-8")
+        assert len(paths) >= 4
+        want = []
+        for path in paths:
+            assert cli.main(["kvector", str(path)]) == 0
+            want.append(capsys.readouterr().out)
+
+        def refuse(*args):
+            raise AssertionError("Fraction built on the integral defect path")
+
+        monkeypatch.setattr(lefschetz, "Fraction", refuse)
+        for path, out in zip(paths, want):
+            assert cli.main(["kvector", str(path)]) == 0
+            assert capsys.readouterr().out == out
 
 
 class TestQuotients:
@@ -354,7 +428,7 @@ class TestDefectTables:
         started = time.perf_counter()
         defects = lefschetz.defect_vector(class_counts(d))
         assert time.perf_counter() - started < 0.5
-        assert defects[0] == Fraction(-393408, 10007)
+        assert Fraction(defects[0], 2 * 10007**3) == Fraction(-393408, 10007)
 
     def test_tuple_matches_per_power_oracle(self):
         rng = random.Random(83)
@@ -403,10 +477,11 @@ class TestDefectTables:
         rng = random.Random(113)
         for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             for real in (True, False) * 3:
-                d = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, p))) for _ in range(p)]
+                n = [rng.randint(-9, 9) * rng.choice((2 * p, 2 * p, p, 2)) for _ in range(p)]
                 if real:
-                    d = [d[min(i, p - i)] for i in range(p)]
-                spins = SpinNumberTuple(p, tuple(d))
+                    n = [n[min(i, p - i)] for i in range(p)]
+                spins = SpinNumberTuple(p, tuple(n), 2 * p)
+                d = [Fraction(v, 2 * p) for v in n]
                 for j in range(-1, p + 1):
                     want = cyclo._reduce_coeffs(p, cyclo._scatter(p, d, j))
                     assert spins.coordinates(j) == want, (p, j)
@@ -415,7 +490,7 @@ class TestDefectTables:
                         assert (got.conductor, got.coeffs) == (p, want), (p, j)
                     else:
                         assert (got.conductor, got.coeffs) == (1, want[:1]), (p, j)
-            flat = SpinNumberTuple(p, (Fraction(3),) + (Fraction(-1),) * (p - 1))
+            flat = SpinNumberTuple(p, (3,) + (-1,) * (p - 1), 1)
             assert all(flat.coordinates(j) == (4,) + (0,) * (p - 2) for j in range(1, p))
 
     def test_realness_check(self):

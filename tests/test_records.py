@@ -66,9 +66,9 @@ RECORDS = [
         id="HalfWeightSurface",
     ),
     pytest.param(
-        lambda: SpinNumberTuple(3, (Fraction(2), Fraction(0), Fraction(0))),
-        "SpinNumberTuple(p=3, defects=(Fraction(2, 1), Fraction(0, 1), Fraction(0, 1)))",
-        {"defects": (Fraction(0), Fraction(1), Fraction(1))},
+        lambda: SpinNumberTuple(3, (2, 0, 0), 1),
+        "SpinNumberTuple(p=3, defects=(2, 0, 0), denominator=1)",
+        {"defects": (0, 1, 1)},
         id="SpinNumberTuple",
     ),
     pytest.param(

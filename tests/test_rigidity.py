@@ -82,7 +82,7 @@ class TestClassifySpin:
 
     def test_irrational(self):
         # csc(pi/5) csc(2 pi/5) = 4/sqrt(5) = (4/5)(1 + 2 nu + 2 nu^4)
-        spins = SpinNumberTuple(5, (Fraction(4, 5), Fraction(8, 5), 0, 0, Fraction(8, 5)))
+        spins = SpinNumberTuple(5, (4, 8, 0, 0, 8), 5)
         cls = classify_spin(spins)
         assert not cls.rational and cls.sign == SIGN_UNKNOWN
         assert cls.estimate is not None and cls.estimate.startswith("1.78885")
